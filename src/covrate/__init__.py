@@ -6,221 +6,11 @@ reconstruction-error covariance must be dominated by a target matrix,
 synthesizes the optimal forward test channel and MMSE decoder, specializes
 the curve to per-coordinate MSE and two-hop relay settings, and allocates
 distortions across a sensor network to maximize fused output SNR.
+
+Import names from the submodules (``covrate.spd``, ``covrate.model``,
+``covrate.rdf``, ``covrate.special``, ``covrate.fusion``, ``covrate.simkit``,
+``covrate.jsonio``, ``covrate.errors``); the package root exports only
+``__version__``.
 """
 
-from .errors import (
-    AssumptionViolated,
-    CovrateError,
-    DimensionMismatch,
-    GenerationStalled,
-    InfeasibilityError,
-    InfeasibleBudget,
-    InfeasibleDistortion,
-    InfiniteRate,
-    InvalidAllocation,
-    InvalidDistortion,
-    InvalidParam,
-    NonSymmetric,
-    NotNested,
-    NotSpd,
-    OutOfRange,
-    RankDeficient,
-    SingularConditioningBlock,
-    SingularGram,
-    SingularObservationCovariance,
-)
-from .fusion import (
-    Allocation,
-    FusionNetwork,
-    HighRateResult,
-    KktResiduals,
-    KktState,
-    ScalarAllocationResult,
-    SensorNode,
-    Snr,
-    allocation_valid,
-    check_allocation,
-    coding_noise_cov,
-    equivalent_noise_inv,
-    highrate_allocate,
-    highrate_rmin,
-    highrate_state,
-    kkt_residuals,
-    kkt_state,
-    kkt_terms,
-    nld_filter,
-    noise_gram,
-    output_snr,
-    per_node_rate,
-    random_valid_allocations,
-    scalar_allocate,
-    weighted_sum_rate,
-)
-from .model import (
-    ConditionalStats,
-    JointGaussianModel,
-    RegularityReport,
-    analyze,
-    check_regularity,
-    conditional_cov,
-    estimator_matrices,
-    psd_repair,
-)
-from .rdf import (
-    RdfResult,
-    TestChannel,
-    channel_rate,
-    check_distortion,
-    cond_mutual_info_gaussian,
-    mmse_decoder,
-    rate_distortion,
-    reconstruction_error,
-    require_regular,
-    test_channel,
-)
-from .simkit import (
-    DEFAULT_PARAMS,
-    EXPERIMENTS,
-    TWO_NODE_VARIANTS,
-    ExperimentSpec,
-    McRdfReport,
-    McSnrReport,
-    RngStream,
-    exp_cov,
-    four_node_network,
-    mc_validate_rdf,
-    mc_validate_snr,
-    random_model,
-    random_spd,
-    run_experiment,
-    sample_gaussian,
-    scalar_example_network,
-    two_node_network,
-    uniform_allocation,
-)
-from .spd import (
-    JointDiag,
-    check_psd,
-    check_spd,
-    check_symmetric,
-    constrained_det_oracle,
-    joint_diagonalize,
-    matrix_min,
-    principal_sqrt,
-    psd_leq,
-    spectral_norm_sym,
-    sym_eig_desc,
-    sym_part,
-)
-from .special import (
-    RelayResult,
-    WaterfillResult,
-    mse_rdf,
-    relay_mu,
-    relay_solve,
-    relay_supremum,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AssumptionViolated",
-    "CovrateError",
-    "DimensionMismatch",
-    "GenerationStalled",
-    "InfeasibilityError",
-    "InfeasibleBudget",
-    "InfeasibleDistortion",
-    "InfiniteRate",
-    "InvalidAllocation",
-    "InvalidDistortion",
-    "InvalidParam",
-    "NonSymmetric",
-    "NotNested",
-    "NotSpd",
-    "OutOfRange",
-    "RankDeficient",
-    "SingularConditioningBlock",
-    "SingularGram",
-    "SingularObservationCovariance",
-    "Allocation",
-    "FusionNetwork",
-    "HighRateResult",
-    "KktResiduals",
-    "KktState",
-    "ScalarAllocationResult",
-    "SensorNode",
-    "Snr",
-    "allocation_valid",
-    "check_allocation",
-    "coding_noise_cov",
-    "equivalent_noise_inv",
-    "highrate_allocate",
-    "highrate_rmin",
-    "highrate_state",
-    "kkt_residuals",
-    "kkt_state",
-    "kkt_terms",
-    "nld_filter",
-    "noise_gram",
-    "output_snr",
-    "per_node_rate",
-    "random_valid_allocations",
-    "scalar_allocate",
-    "weighted_sum_rate",
-    "ConditionalStats",
-    "JointGaussianModel",
-    "RegularityReport",
-    "analyze",
-    "check_regularity",
-    "conditional_cov",
-    "estimator_matrices",
-    "psd_repair",
-    "RdfResult",
-    "TestChannel",
-    "channel_rate",
-    "check_distortion",
-    "cond_mutual_info_gaussian",
-    "mmse_decoder",
-    "rate_distortion",
-    "reconstruction_error",
-    "require_regular",
-    "test_channel",
-    "DEFAULT_PARAMS",
-    "EXPERIMENTS",
-    "TWO_NODE_VARIANTS",
-    "ExperimentSpec",
-    "McRdfReport",
-    "McSnrReport",
-    "RngStream",
-    "exp_cov",
-    "four_node_network",
-    "mc_validate_rdf",
-    "mc_validate_snr",
-    "random_model",
-    "random_spd",
-    "run_experiment",
-    "sample_gaussian",
-    "scalar_example_network",
-    "two_node_network",
-    "uniform_allocation",
-    "JointDiag",
-    "check_psd",
-    "check_spd",
-    "check_symmetric",
-    "constrained_det_oracle",
-    "joint_diagonalize",
-    "matrix_min",
-    "principal_sqrt",
-    "psd_leq",
-    "spectral_norm_sym",
-    "sym_eig_desc",
-    "sym_part",
-    "RelayResult",
-    "WaterfillResult",
-    "mse_rdf",
-    "relay_mu",
-    "relay_solve",
-    "relay_supremum",
-    "__version__",
-]

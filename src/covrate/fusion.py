@@ -32,7 +32,7 @@ from .errors import (
     SingularGram,
 )
 from .model import psd_repair
-from .spd import as_square, check_spd, check_symmetric, psd_leq, sym_eig_desc, sym_part
+from .spd import _eig_desc, as_square, check_spd, check_symmetric, psd_leq, sym_part
 
 #: PSD-order slack for ``D <= Sigma_y`` checks on allocations.
 ALLOC_TOL = 1e-9
@@ -54,8 +54,10 @@ class SensorNode:
     alpha: float
 
     def __post_init__(self):
-        W = as_square(np.asarray(self.W, dtype=float), name="W")
-        Sigma_n = check_spd(np.asarray(self.Sigma_n, dtype=float), name="Sigma_n")
+        W = as_square(self.W, name="W")
+        if not np.isfinite(W).all():
+            raise InvalidParam("W has non-finite entries")
+        Sigma_n = check_spd(self.Sigma_n, name="Sigma_n")
         if Sigma_n.shape != W.shape:
             raise DimensionMismatch(
                 f"W is {W.shape} but Sigma_n is {Sigma_n.shape}"
@@ -83,7 +85,7 @@ class FusionNetwork:
     R: float
 
     def __post_init__(self):
-        Sigma_xd = check_spd(np.asarray(self.Sigma_xd, dtype=float), name="Sigma_xd")
+        Sigma_xd = check_spd(self.Sigma_xd, name="Sigma_xd")
         nodes = tuple(self.nodes)
         if not nodes:
             raise InvalidParam("network needs at least one node")
@@ -141,10 +143,7 @@ class Allocation:
     D: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = tuple(
-            check_symmetric(as_square(np.asarray(Di, dtype=float), name=f"D[{i}]"))
-            for i, Di in enumerate(self.D)
-        )
+        mats = tuple(check_symmetric(Di, name=f"D[{i}]") for i, Di in enumerate(self.D))
         object.__setattr__(self, "D", mats)
 
     def weighted_logdet(self, alphas: np.ndarray) -> float:
@@ -158,27 +157,18 @@ class Allocation:
         return float(total)
 
 
-def allocation_valid(
-    network: FusionNetwork, alloc: Allocation, tol: float = ALLOC_TOL
-) -> bool:
-    """True iff every ``D_i`` is SPD and ``D_i <= Sigma_y_i`` within ``tol``."""
-    if len(alloc.D) != network.n_nodes:
+def allocation_valid(network: FusionNetwork, alloc: Allocation) -> bool:
+    """True iff :func:`check_allocation` accepts the allocation."""
+    try:
+        check_allocation(network, alloc)
+    except InvalidAllocation:
         return False
-    for Di, Syi in zip(alloc.D, network.sigma_y):
-        if Di.shape != Syi.shape:
-            return False
-        ev = np.linalg.eigvalsh(Di)
-        if ev[0] <= 0.0:
-            return False
-        if not psd_leq(Di, Syi, tol=tol):
-            return False
     return True
 
 
-def check_allocation(
-    network: FusionNetwork, alloc: Allocation, tol: float = ALLOC_TOL
-) -> None:
-    """Raise :class:`InvalidAllocation` unless the allocation is valid."""
+def check_allocation(network: FusionNetwork, alloc: Allocation) -> None:
+    """Raise :class:`InvalidAllocation` unless every ``D_i`` is SPD and
+    ``D_i <= Sigma_y_i`` within ``ALLOC_TOL``."""
     if len(alloc.D) != network.n_nodes:
         raise InvalidAllocation(
             f"allocation has {len(alloc.D)} matrices for {network.n_nodes} nodes"
@@ -188,13 +178,13 @@ def check_allocation(
             raise InvalidAllocation(f"D[{i}] has shape {Di.shape}, expected {Syi.shape}")
         if np.linalg.eigvalsh(Di)[0] <= 0.0:
             raise InvalidAllocation(f"D[{i}] is not positive definite")
-        if not psd_leq(Di, Syi, tol=tol):
+        if not psd_leq(Di, Syi, tol=ALLOC_TOL):
             raise InvalidAllocation(f"D[{i}] exceeds the observation covariance")
 
 
-def per_node_rate(sigma_y: np.ndarray, D: np.ndarray, tol: float = ALLOC_TOL) -> float:
+def per_node_rate(sigma_y: np.ndarray, D: np.ndarray) -> float:
     """Coding rate ``1/2 log(|Sigma_y| / |D|)`` in nats for one node."""
-    if not psd_leq(D, sigma_y, tol=tol):
+    if not psd_leq(D, sigma_y, tol=ALLOC_TOL):
         raise InvalidAllocation("D exceeds the observation covariance")
     sign, ld_d = np.linalg.slogdet(D)
     if sign <= 0:
@@ -487,7 +477,7 @@ def highrate_allocate(network: FusionNetwork) -> HighRateResult:
         )
     n = network.n
     S = noise_gram(network)
-    U_s, s = sym_eig_desc(S)
+    U_s, s = _eig_desc(S)
     log_gamma = network.log_beta
     for node in network.nodes:
         _, ld_n = np.linalg.slogdet(node.Sigma_n)
@@ -692,7 +682,7 @@ def random_valid_allocations(
     beta_w: float | Sequence[float],
     eta_w: float | Sequence[float],
     L: int,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator,
     max_consecutive_failures: int = 10**6,
 ) -> list[Allocation]:
     """Generate ``L`` budget-exact allocations around (or away from) ``base``.
@@ -712,17 +702,13 @@ def random_valid_allocations(
         raise InvalidParam("L must be >= 1")
     if len(base.D) != network.n_nodes:
         raise InvalidAllocation("base allocation does not match the network")
-    if hasattr(rng, "generator"):
-        rng = rng.generator()
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     n, N = network.n, network.n_nodes
     betas = np.broadcast_to(np.asarray(beta_w, dtype=float), (N,))
     etas = np.broadcast_to(np.asarray(eta_w, dtype=float), (N,))
     if np.any(betas < 0) or np.any(etas < 0):
         raise InvalidParam("perturbation weights must be nonnegative")
 
-    eigs = [sym_eig_desc(Di) for Di in base.D]
+    eigs = [_eig_desc(Di) for Di in base.D]
     iotas = [ev[1][0] for ev in eigs]
     alphas = network.alphas
     log_beta = network.log_beta

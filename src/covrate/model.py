@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidParam,
     NotSpd,
     SingularConditioningBlock,
     SingularObservationCovariance,
@@ -28,24 +29,25 @@ from .spd import EPS_PSD, check_spd, check_symmetric, spectral_norm_sym, sym_par
 
 #: Relative floor below which negative Schur-complement eigenvalues are an error.
 PSD_REPAIR_FLOOR = 1e-10
+#: Gap eigenvalues at or below this fraction of the operands' scale count as zero.
+REGULARITY_RTOL = 1e-10
 
 
-def psd_repair(
-    A: np.ndarray, floor: float = PSD_REPAIR_FLOOR, scale_hint: float = 0.0
-) -> np.ndarray:
+def psd_repair(A: np.ndarray, scale_hint: float = 0.0) -> np.ndarray:
     """Symmetrize and clip tiny negative eigenvalues (floating-point residue) to 0.
 
-    Eigenvalues below ``-floor`` times the spectral norm are treated as a real
-    PSD violation and raise :class:`NotSpd`.  ``scale_hint`` lets callers that
-    form ``A`` by cancellation (Schur complements) judge the residue against
-    the magnitude of the inputs rather than of the near-zero result.
+    Eigenvalues below ``-PSD_REPAIR_FLOOR`` times the spectral norm are treated
+    as a real PSD violation and raise :class:`NotSpd`.  ``scale_hint`` lets
+    callers that form ``A`` by cancellation (Schur complements) judge the
+    residue against the magnitude of the inputs rather than of the near-zero
+    result.
     """
     A = sym_part(np.asarray(A, dtype=float))
     if A.size == 0:
         return A
     w, Q = np.linalg.eigh(A)
     scale = max(abs(w[0]), abs(w[-1]), scale_hint, np.finfo(float).tiny)
-    if w[0] < -floor * scale:
+    if w[0] < -PSD_REPAIR_FLOOR * scale:
         raise NotSpd(f"matrix is not PSD: eigenvalue {w[0]:.3e} at scale {scale:.3e}")
     if w[0] >= 0:
         return A
@@ -57,9 +59,10 @@ def psd_repair(
 class JointGaussianModel:
     """Zero-mean jointly Gaussian (x, y, z) given by covariance blocks.
 
-    Validated eagerly: the assembled joint covariance must be symmetric PSD
-    (smallest eigenvalue >= -1e-10 times the largest) and the ``y`` and ``z``
-    blocks SPD (they get inverted).  ``n_z = 0`` encodes "no side information".
+    Validated eagerly: every block must be finite, the assembled joint
+    covariance symmetric PSD (smallest eigenvalue >= -1e-10 times the largest)
+    and the ``y`` and ``z`` blocks SPD (they get inverted).  ``n_z = 0``
+    encodes "no side information".
     """
 
     Sigma_x: np.ndarray
@@ -71,7 +74,10 @@ class JointGaussianModel:
 
     def __post_init__(self):
         for name in ("Sigma_x", "Sigma_y", "Sigma_z", "Sigma_xy", "Sigma_xz", "Sigma_yz"):
-            object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
+            block = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            if not np.isfinite(block).all():
+                raise InvalidParam(f"{name} has non-finite entries")
+            object.__setattr__(self, name, block)
         n_x, n_y, n_z = self.n_x, self.n_y, self.n_z
         shapes = {
             "Sigma_x": (n_x, n_x), "Sigma_y": (n_y, n_y), "Sigma_z": (n_z, n_z),
@@ -265,18 +271,18 @@ class RegularityReport:
     threshold: float
 
 
-def check_regularity(stats: ConditionalStats, rel_tol: float = 1e-10) -> RegularityReport:
+def check_regularity(stats: ConditionalStats) -> RegularityReport:
     """Diagnose whether the downstream pipeline's full-rank requirement holds."""
     delta = sym_part(stats.Sigma_x_given_z - stats.Sigma_x_given_yz)
     w = np.linalg.eigvalsh(delta)[::-1]
     # The difference is formed by cancellation, so judge it against the
     # magnitude of the operands, not of a possibly-near-zero result.
     scale = max(
-        spectral_norm_sym(delta),
+        float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0,
         spectral_norm_sym(stats.Sigma_x_given_z),
         np.finfo(float).tiny,
     )
-    threshold = rel_tol * scale
+    threshold = REGULARITY_RTOL * scale
     rank = int(np.sum(w > threshold))
     return RegularityReport(
         full_rank=(rank == stats.n_x),

@@ -29,19 +29,13 @@ import numpy as np
 
 from .errors import InvalidDistortion, NotNested, RankDeficient
 from .model import ConditionalStats, check_regularity, psd_repair
-from .spd import (
-    check_spd,
-    check_symmetric,
-    joint_diagonalize,
-    matrix_min,
-    psd_leq,
-    spectral_norm_sym,
-    sym_eig_desc,
-    sym_part,
-)
+from .spd import check_spd, check_symmetric, joint_diagonalize, matrix_min, psd_leq, sym_part
 
 #: Components with lam <= lam' * (1 + ACTIVE_RTOL) are classified inactive.
 ACTIVE_RTOL = 1e-12
+#: ``D - Sigma_x_given_yz`` must have smallest eigenvalue above this fraction
+#: of its spectral norm.
+DISTORTION_RTOL = 1e-12
 
 
 def require_regular(stats: ConditionalStats) -> None:
@@ -54,20 +48,28 @@ def require_regular(stats: ConditionalStats) -> None:
         )
 
 
-def check_distortion(stats: ConditionalStats, D, rel_tol: float = 1e-12) -> np.ndarray:
+def check_distortion(stats: ConditionalStats, D) -> np.ndarray:
     """Validate ``D`` strictly dominates the irreducible error ``Sigma_x_given_yz``."""
     D = check_symmetric(D, name="D")
     if D.shape != stats.Sigma_x_given_yz.shape:
         raise InvalidDistortion(
             f"D has shape {D.shape}, expected {stats.Sigma_x_given_yz.shape}"
         )
-    gap = sym_part(D - stats.Sigma_x_given_yz)
-    scale = max(spectral_norm_sym(gap), np.finfo(float).tiny)
-    if np.linalg.eigvalsh(gap)[0] <= rel_tol * scale:
+    w = np.linalg.eigvalsh(sym_part(D - stats.Sigma_x_given_yz))
+    if w[0] <= DISTORTION_RTOL * max(abs(w[0]), abs(w[-1]), np.finfo(float).tiny):
         raise InvalidDistortion(
             "D must strictly dominate Sigma_x_given_yz (the rate would be infinite)"
         )
     return D
+
+
+def _gap_pair(stats: ConditionalStats, D) -> tuple[np.ndarray, np.ndarray]:
+    """Validate ``(stats, D)`` once; return ``S1 = Sxz - Sxyz`` and ``S2 = D - Sxyz``."""
+    require_regular(stats)
+    D = check_distortion(stats, D)
+    S1 = sym_part(stats.Sigma_x_given_z - stats.Sigma_x_given_yz)
+    S2 = sym_part(D - stats.Sigma_x_given_yz)
+    return S1, S2
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,21 +120,13 @@ def rate_distortion(stats: ConditionalStats, D) -> RdfResult:
     InvalidDistortion
         If ``D`` does not strictly dominate ``Sigma_x_given_yz``.
     """
-    require_regular(stats)
-    D = check_distortion(stats, D)
-    S1 = sym_part(stats.Sigma_x_given_z - stats.Sigma_x_given_yz)
-    S2 = sym_part(D - stats.Sigma_x_given_yz)
+    S1, S2 = _gap_pair(stats, D)
     min_matrix = matrix_min(S2, S1)
     _, ld1 = np.linalg.slogdet(S1)
     _, ld_min = np.linalg.slogdet(min_matrix)
     rate = max(0.5 * (ld1 - ld_min), 0.0)
     error_cov = psd_repair(stats.Sigma_x_given_yz + min_matrix)
     return RdfResult(rate=rate, min_matrix=min_matrix, error_cov=error_cov)
-
-
-def reconstruction_error(stats: ConditionalStats, D) -> np.ndarray:
-    """Error covariance at the optimal decoder (``Sigma_x_given_yz + min``)."""
-    return rate_distortion(stats, D).error_cov
 
 
 def test_channel(stats: ConditionalStats, D) -> TestChannel:
@@ -142,12 +136,7 @@ def test_channel(stats: ConditionalStats, D) -> TestChannel:
     variance ``lam * lam' / (lam - lam')``.  Components with ``lam' >= lam``
     need no coding (they would require infinite noise) and are excluded.
     """
-    require_regular(stats)
-    D = check_distortion(stats, D)
-    S1 = sym_part(stats.Sigma_x_given_z - stats.Sigma_x_given_yz)
-    S2 = sym_part(D - stats.Sigma_x_given_yz)
-    U, _ = sym_eig_desc(S1)
-    jd = joint_diagonalize(S1, S2)
+    jd = joint_diagonalize(*_gap_pair(stats, D))
     lam, lam_prime = jd.lam, jd.lam_prime
     active = np.flatnonzero(lam > lam_prime * (1.0 + ACTIVE_RTOL))
     g = lam[active] * lam_prime[active] / (lam[active] - lam_prime[active])
@@ -156,7 +145,7 @@ def test_channel(stats: ConditionalStats, D) -> TestChannel:
         encoder_map=encoder_map,
         noise_cov=np.diag(g),
         active=active,
-        U=U,
+        U=jd.U,
         V=jd.V,
         lam=lam,
         lam_prime=lam_prime,

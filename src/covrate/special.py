@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import bisect
 
-from .errors import InfeasibleDistortion, InfiniteRate, OutOfRange
+from .errors import InfeasibleDistortion, InfiniteRate, InvalidParam, OutOfRange
 from .model import ConditionalStats, psd_repair
 from .rdf import require_regular
-from .spd import check_spd, principal_sqrt, sym_eig_desc, sym_part
+from .spd import _eig_desc, _inv_sqrt_from_eig, _sqrt_from_eig, check_spd, sym_part
 
 #: Absolute bisection tolerance on the water variable.
 WATER_XTOL = 1e-12
@@ -52,21 +52,26 @@ def mse_rdf(stats: ConditionalStats, D_scalar: float) -> WaterfillResult:
 
     Raises
     ------
+    InvalidParam
+        If ``D_scalar`` is not finite.
     InfeasibleDistortion
         If ``n_x D <= tr(Sigma_x_given_yz)`` (below the error floor).
     RankDeficient
         Propagated from the regularity check.
     """
     require_regular(stats)
+    D_scalar = float(D_scalar)
+    if not np.isfinite(D_scalar):
+        raise InvalidParam(f"distortion D = {D_scalar} must be finite")
     n_x = stats.n_x
     floor = float(np.trace(stats.Sigma_x_given_yz))
-    budget = n_x * float(D_scalar) - floor
+    budget = n_x * D_scalar - floor
     if budget <= 0.0:
         raise InfeasibleDistortion(
-            f"n_x * D = {n_x * float(D_scalar):.6g} does not exceed "
+            f"n_x * D = {n_x * D_scalar:.6g} does not exceed "
             f"tr(Sigma_x_given_yz) = {floor:.6g}"
         )
-    U, lam = sym_eig_desc(sym_part(stats.Sigma_x_given_z - stats.Sigma_x_given_yz))
+    U, lam = _eig_desc(sym_part(stats.Sigma_x_given_z - stats.Sigma_x_given_yz))
     if budget >= lam.sum():
         # Saturated: side information alone meets the constraint; rate 0 with
         # the full conditional covariance as the distortion target.
@@ -131,8 +136,7 @@ def relay_mu(stats: ConditionalStats) -> np.ndarray:
     source variance the observation can remove; ``-1/2 sum_i log(1 - mu_i)``
     equals the supremum ``1/2 log(|Sigma_x_given_z| / |Sigma_x_given_yz|)``.
     """
-    _, mu = _informativeness_eig(stats)
-    return mu
+    return _informativeness_eig(stats)[1]
 
 
 def relay_supremum(stats: ConditionalStats) -> float:
@@ -156,14 +160,18 @@ def relay_solve(stats: ConditionalStats, R_I: float) -> RelayResult:
 
     Raises
     ------
+    InvalidParam
+        If ``R_I`` is not finite.
     OutOfRange
         If ``R_I`` is negative or exceeds the supremum.
     InfiniteRate
         If ``R_I`` equals the supremum (that point needs unbounded rate).
     """
-    W, mu = _informativeness_eig(stats)
-    R_sup = relay_supremum(stats)
     R_I = float(R_I)
+    if not np.isfinite(R_I):
+        raise InvalidParam(f"R_I = {R_I} must be finite")
+    W, mu, Sxz_eig = _informativeness_eig(stats)
+    R_sup = relay_supremum(stats)
     if R_I < 0.0 or R_I > R_sup * (1.0 + 1e-12):
         raise OutOfRange(f"R_I = {R_I:.6g} outside [0, {R_sup:.6g}]")
 
@@ -200,14 +208,17 @@ def relay_solve(stats: ConditionalStats, R_I: float) -> RelayResult:
         rate = 0.0
 
     shrink = np.minimum(1.0, (1.0 - mu) / (1.0 - gamma))
-    half = principal_sqrt(stats.Sigma_x_given_z)
+    half = _sqrt_from_eig(*Sxz_eig)
     d_star = psd_repair(half @ (W.T @ (shrink[:, None] * W)) @ half)
     residual = float(abs(-0.5 * float(np.log(shrink).sum()) - R_I))
     return RelayResult(rate=rate, gamma=gamma, mu=mu, d_star=d_star, residual=residual)
 
 
-def _informativeness_eig(stats: ConditionalStats) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-rows ``W`` and descending eigenvalues ``mu`` of the whitened gap.
+def _informativeness_eig(
+    stats: ConditionalStats,
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Eigen-rows ``W`` and descending eigenvalues ``mu`` of the whitened gap,
+    plus the ``(U, lam)`` eigendecomposition of ``Sigma_x_given_z``.
 
     Unlike the matrix-distortion pipeline this does not require the whitened
     gap to be full rank: zero eigenvalues are legitimate (components where the
@@ -215,11 +226,11 @@ def _informativeness_eig(stats: ConditionalStats) -> tuple[np.ndarray, np.ndarra
     """
     Sxz = check_spd(stats.Sigma_x_given_z, name="Sigma_x_given_z")
     check_spd(stats.Sigma_x_given_yz, name="Sigma_x_given_yz")
-    U, lam = sym_eig_desc(Sxz)
-    isqrt = U.T @ (lam[:, None] ** -0.5 * U)
+    Sxz_eig = _eig_desc(Sxz)
+    isqrt = _inv_sqrt_from_eig(*Sxz_eig)
     M = sym_part(np.eye(stats.n_x) - isqrt @ stats.Sigma_x_given_yz @ isqrt)
-    W, mu = sym_eig_desc(M)
+    W, mu = _eig_desc(M)
     mu = np.clip(mu, 0.0, None)
     if mu[0] >= 1.0:
         raise OutOfRange("informativeness eigenvalue reached 1 (Sigma_x_given_yz singular)")
-    return W, mu
+    return W, mu, Sxz_eig

@@ -6,13 +6,7 @@ import pytest
 
 from covrate.fusion import FusionNetwork, SensorNode
 from covrate.model import JointGaussianModel, analyze
-
-
-def random_spd(n: int, rng: np.random.Generator, jitter: float = 0.1) -> np.ndarray:
-    """A well-conditioned random SPD matrix."""
-    G = rng.standard_normal((n, n))
-    A = G @ G.T / n + jitter * np.eye(n)
-    return 0.5 * (A + A.T)
+from covrate.simkit import random_spd
 
 
 def random_spd_pair(

@@ -12,7 +12,6 @@ from covrate.rdf import (
     cond_mutual_info_gaussian,
     mmse_decoder,
     rate_distortion,
-    reconstruction_error,
 )
 from covrate.rdf import test_channel as make_channel
 from covrate.spd import matrix_min, psd_leq
@@ -129,7 +128,7 @@ def test_channel_mutual_info_matches_rate():
 
 
 def test_reconstruction_error_zero_rate_returns_side_info_error(scalar_stats):
-    out = reconstruction_error(scalar_stats, np.array([[2.0]]))
+    out = rate_distortion(scalar_stats, np.array([[2.0]])).error_cov
     assert abs(out[0, 0] - 1.0) < 1e-12
 
 
@@ -139,7 +138,7 @@ def test_reconstruction_error_near_lower_boundary():
     st = analyze(m)
     eps = 1e-3
     D = st.Sigma_x_given_yz + eps * np.eye(2)
-    out = reconstruction_error(st, D)
+    out = rate_distortion(st, D).error_cov
     assert psd_leq(out - st.Sigma_x_given_yz, eps * np.eye(2), tol=1e-9)
 
 
@@ -148,7 +147,7 @@ def test_reconstruction_error_matches_conditional_cov():
     m = _random_model(rng, n_x=3, n_y=3, n_z=2)
     st = analyze(m)
     D = st.Sigma_x_given_yz + 0.5 * random_spd(3, rng, jitter=0.2)
-    out = reconstruction_error(st, D)
+    out = rate_distortion(st, D).error_cov
     ch = make_channel(st, D)
     J = _extended_joint(m, ch)
     nxyz = m.n_x + m.n_y + m.n_z
@@ -196,7 +195,7 @@ def test_mmse_decoder_residual_equals_reconstruction_error():
     K = J[np.ix_(iu + iz, iu + iz)]
     cross = J[np.ix_(ix, iu + iz)]
     resid = J[np.ix_(ix, ix)] - cross @ np.linalg.solve(K, cross.T)
-    assert rel_fro(resid, reconstruction_error(st, D)) < 1e-9
+    assert rel_fro(resid, rate_distortion(st, D).error_cov) < 1e-9
     # and the decoder matrices are the MMSE coefficients
     coef = np.linalg.solve(K, cross.T).T
     assert np.allclose(np.hstack([C, G]), coef, atol=1e-9)
