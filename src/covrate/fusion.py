@@ -32,12 +32,25 @@ from .errors import (
     SingularGram,
 )
 from .model import psd_repair
-from .spd import _eig_desc, as_square, check_spd, check_symmetric, psd_leq, sym_part
+from .spd import (
+    SCREEN_ACCEPT,
+    SCREEN_REJECT,
+    _eig_desc,
+    _psd_leq_screen,
+    _rotated_diag,
+    as_square,
+    check_spd,
+    check_symmetric,
+    psd_leq,
+    sym_part,
+)
 
 #: PSD-order slack for ``D <= Sigma_y`` checks on allocations.
 ALLOC_TOL = 1e-9
 #: Maximum admissible condition number for a node's mixing matrix.
 MAX_W_COND = 1e12
+#: Most candidate spectra :func:`random_valid_allocations` draws in one block.
+DRAW_BLOCK = 256
 
 #: Regime labels returned by :func:`scalar_allocate`.
 REGIME_MAXIMIZER = "Maximizer"
@@ -126,6 +139,11 @@ class FusionNetwork:
         return tuple(out)
 
     @cached_property
+    def sigma_y_eigvals(self) -> tuple[np.ndarray, ...]:
+        """Ascending eigenvalues of each ``Sigma_y_i``."""
+        return tuple(np.linalg.eigvalsh(S) for S in self.sigma_y)
+
+    @cached_property
     def log_beta(self) -> float:
         """Log of the determinant budget: ``sum_i alpha_i logdet Sigma_y_i - 2R``.
 
@@ -145,6 +163,11 @@ class Allocation:
     def __post_init__(self):
         mats = tuple(check_symmetric(Di, name=f"D[{i}]") for i, Di in enumerate(self.D))
         object.__setattr__(self, "D", mats)
+
+    @cached_property
+    def eig_desc(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per matrix, the ``(U, lam)`` of :func:`covrate.spd.sym_eig_desc`."""
+        return tuple(_eig_desc(Di) for Di in self.D)
 
     def weighted_logdet(self, alphas: np.ndarray) -> float:
         """``sum_i alpha_i logdet D_i`` — the quantity the budget constrains."""
@@ -697,6 +720,27 @@ def random_valid_allocations(
     the budget when there are many nodes — the whole allocation is restarted.
     Raises :class:`GenerationStalled` after ``max_consecutive_failures``
     rejections in a row.
+
+    A draw is valid when its spectrum is positive and
+    ``psd_leq(D_i, Sigma_y_i, tol=ALLOC_TOL)`` holds.  Since ``D_i`` is
+    diagonal in the basis ``U_i``, two exact O(n) bounds decide most draws
+    first (:func:`covrate.spd._psd_leq_screen`): the Rayleigh quotient of
+    ``Sigma_y_i - D_i`` on a row of ``U_i`` bounds its smallest eigenvalue
+    from above (reject), and Weyl's inequality bounds it from below by
+    ``lambda_min(Sigma_y_i) - max(d)`` (accept).  Only draws between the
+    bounds reach ``psd_leq``, so every verdict is the one ``psd_leq`` gives.
+
+    Candidate spectra are drawn in blocks of 1, 2, 4, ... up to
+    :data:`DRAW_BLOCK` rows from one ``rng.uniform`` call, which consumes the
+    same numbers as that many one-row calls.  When a row is accepted, the
+    generator is rewound to the block's start and advanced past exactly the
+    rows up to it; a block is never longer than the draws left before a stall
+    or a restart.  The allocations, the stall (its message and its point) and
+    the generator's final state are therefore those of drawing and testing
+    one candidate at a time, for any bit generator.  The leading nodes are
+    screened a block at a time; the last node's rows are rescaled and
+    screened one at a time with the per-draw expressions, so the returned
+    matrices are bit-identical to that per-draw loop's.
     """
     if L < 1:
         raise InvalidParam("L must be >= 1")
@@ -708,53 +752,78 @@ def random_valid_allocations(
     if np.any(betas < 0) or np.any(etas < 0):
         raise InvalidParam("perturbation weights must be nonnegative")
 
-    eigs = [_eig_desc(Di) for Di in base.D]
-    iotas = [ev[1][0] for ev in eigs]
+    eigs = base.eig_desc
+    diags = [_rotated_diag(U, Syi) for (U, _), Syi in zip(eigs, network.sigma_y)]
     alphas = network.alphas
+    a_last = alphas[-1]
     log_beta = network.log_beta
+
+    def first_valid(i: int, limit: int, lead_logdet: float | None = None):
+        """Test up to ``limit`` draws of node ``i`` in order; return the
+        number rejected before the first valid one, its spectrum and matrix
+        (``None, None`` if all ``limit`` fail).  The last node passes
+        ``lead_logdet`` to have its draws rescaled onto the budget."""
+        U, lam = eigs[i]
+        Syi = network.sigma_y[i]
+        ev = network.sigma_y_eigvals[i]
+        screen = (diags[i], ev[0], ev[-1], ALLOC_TOL)
+        high = 5.0 * lam[0]
+        used, k = 0, 1
+        while used < limit:
+            k = min(k, limit - used)
+            state = rng.bit_generator.state if k > 1 else None
+            raw = betas[i] * lam + etas[i] * rng.uniform(0.0, high, size=(k, n))
+            live = np.all(raw > 0.0, axis=1)
+            if lead_logdet is None:
+                verdicts = _psd_leq_screen(raw, *screen)
+                live &= verdicts != SCREEN_REJECT
+            for j in np.flatnonzero(live):
+                d = raw[j]
+                if lead_logdet is None:
+                    verdict = verdicts[j]
+                else:  # rescale onto the budget, one row at a time
+                    log_c = (
+                        log_beta - lead_logdet - a_last * float(np.log(d).sum())
+                    ) / (n * a_last)
+                    d = np.exp(log_c) * d
+                    verdict = _psd_leq_screen(d, *screen)
+                if verdict == SCREEN_REJECT:
+                    continue
+                Di = sym_part(U.T @ (d[:, None] * U))
+                if verdict == SCREEN_ACCEPT or psd_leq(Di, Syi, tol=ALLOC_TOL):
+                    if j + 1 < k:  # give back the draws after row j
+                        rng.bit_generator.state = state
+                        rng.uniform(0.0, high, size=(j + 1, n))
+                    return used + int(j), d, Di
+            used += k
+            k = min(2 * k, DRAW_BLOCK)
+        return used, None, None
+
+    def stalled(failures: int) -> GenerationStalled:
+        return GenerationStalled(
+            f"{failures} consecutive invalid draws; "
+            "perturbation weights are incompatible with the constraints"
+        )
 
     out: list[Allocation] = []
     failures = 0  # consecutive rejections since the last emitted allocation
-
-    def draw(i: int) -> np.ndarray:
-        theta = rng.uniform(0.0, 5.0 * iotas[i], size=n)
-        return betas[i] * eigs[i][1] + etas[i] * theta
-
-    def stalled() -> None:
-        nonlocal failures
-        failures += 1
-        if failures > max_consecutive_failures:
-            raise GenerationStalled(
-                f"{failures} consecutive invalid draws; "
-                "perturbation weights are incompatible with the constraints"
-            )
-
     while len(out) < L:
         Ds: list[np.ndarray] = []
         lead_logdet = 0.0
         for i in range(N - 1):
-            while True:
-                d = draw(i)
-                if np.all(d > 0.0):
-                    U = eigs[i][0]
-                    Di = sym_part(U.T @ (d[:, None] * U))
-                    if psd_leq(Di, network.sigma_y[i], tol=ALLOC_TOL):
-                        Ds.append(Di)
-                        lead_logdet += alphas[i] * float(np.log(d).sum())
-                        break
-                stalled()
-        for _ in range(1000):  # then restart the leading draws
-            d = draw(N - 1)
-            if np.all(d > 0.0):
-                log_c = (
-                    log_beta - lead_logdet - alphas[-1] * float(np.log(d).sum())
-                ) / (n * alphas[-1])
-                d_scaled = np.exp(log_c) * d
-                U = eigs[N - 1][0]
-                Dn = sym_part(U.T @ (d_scaled[:, None] * U))
-                if psd_leq(Dn, network.sigma_y[N - 1], tol=ALLOC_TOL):
-                    out.append(Allocation(D=tuple(Ds + [Dn])))
-                    failures = 0
-                    break
-            stalled()
+            rejected, d, Di = first_valid(i, max_consecutive_failures - failures + 1)
+            failures += rejected
+            if Di is None:
+                raise stalled(failures)
+            Ds.append(Di)
+            lead_logdet += alphas[i] * float(np.log(d).sum())
+        # The last node gets 1000 tries, then the leading draws restart.
+        tries = min(1000, max_consecutive_failures - failures + 1)
+        rejected, _, Dn = first_valid(N - 1, tries, lead_logdet)
+        failures += rejected
+        if Dn is not None:
+            out.append(Allocation(D=tuple(Ds + [Dn])))
+            failures = 0
+        elif failures > max_consecutive_failures:
+            raise stalled(failures)
     return out

@@ -29,13 +29,18 @@ import numpy as np
 
 from .errors import InvalidDistortion, NotNested, RankDeficient
 from .model import ConditionalStats, check_regularity, psd_repair
-from .spd import check_spd, check_symmetric, joint_diagonalize, matrix_min, psd_leq, sym_part
+from .spd import (
+    EPS_PSD,
+    check_spd,
+    check_symmetric,
+    joint_diagonalize,
+    matrix_min,
+    psd_leq,
+    sym_part,
+)
 
 #: Components with lam <= lam' * (1 + ACTIVE_RTOL) are classified inactive.
 ACTIVE_RTOL = 1e-12
-#: ``D - Sigma_x_given_yz`` must have smallest eigenvalue above this fraction
-#: of its spectral norm.
-DISTORTION_RTOL = 1e-12
 
 
 def require_regular(stats: ConditionalStats) -> None:
@@ -49,14 +54,20 @@ def require_regular(stats: ConditionalStats) -> None:
 
 
 def check_distortion(stats: ConditionalStats, D) -> np.ndarray:
-    """Validate ``D`` strictly dominates the irreducible error ``Sigma_x_given_yz``."""
+    """Validate ``D`` strictly dominates the irreducible error ``Sigma_x_given_yz``.
+
+    The gap ``D - Sigma_x_given_yz`` must pass :func:`covrate.spd.check_spd`'s
+    test (smallest eigenvalue above ``EPS_PSD`` times the largest), because
+    the rate and the test channel hand it to the joint diagonalizer, which
+    applies that test to the same matrix.
+    """
     D = check_symmetric(D, name="D")
     if D.shape != stats.Sigma_x_given_yz.shape:
         raise InvalidDistortion(
             f"D has shape {D.shape}, expected {stats.Sigma_x_given_yz.shape}"
         )
     w = np.linalg.eigvalsh(sym_part(D - stats.Sigma_x_given_yz))
-    if w[0] <= DISTORTION_RTOL * max(abs(w[0]), abs(w[-1]), np.finfo(float).tiny):
+    if w[-1] <= 0 or w[0] <= EPS_PSD * w[-1]:
         raise InvalidDistortion(
             "D must strictly dominate Sigma_x_given_yz (the rate would be infinite)"
         )

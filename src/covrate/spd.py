@@ -230,6 +230,56 @@ def psd_leq(A, B, tol: float = 1e-9) -> bool:
     return bool(smallest >= -tol * max(spectral_norm_sym(B), np.finfo(float).tiny))
 
 
+#: Outcomes of :func:`_psd_leq_screen`.
+SCREEN_REJECT, SCREEN_UNDECIDED, SCREEN_ACCEPT = -1, 0, 1
+
+
+def _rotated_diag(U: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``diag(U @ B @ U.T)``: the Rayleigh quotients of ``B`` on the rows of ``U``."""
+    return np.sum((U @ B) * U, axis=1)
+
+
+def _psd_leq_screen(
+    d: np.ndarray, c: np.ndarray, b_min: float, b_norm: float, tol: float
+) -> np.ndarray:
+    """O(n) verdict of ``psd_leq(U.T @ diag(d) @ U, B, tol)`` without an eigensolve.
+
+    ``U`` holds orthonormal rows (an eigenbasis from :func:`_eig_desc`),
+    ``c = _rotated_diag(U, B)``, and ``b_min``/``b_norm`` are the smallest and
+    largest entries of ``eigvalsh(B)`` for an SPD ``B``.  ``d`` has shape
+    ``(..., n)``; each row gets :data:`SCREEN_REJECT`, :data:`SCREEN_ACCEPT`
+    or :data:`SCREEN_UNDECIDED`.  ``psd_leq`` tests
+    ``lambda_min(B - D) >= -tol * ||B||``, and two exact bounds bracket that
+    eigenvalue:
+
+    * Rayleigh-Ritz: ``lambda_min(B - D) <= u_j (B - D) u_j^T = c_j - d_j``
+      for every row ``u_j`` of ``U``, so ``max_j (d_j - c_j) > tol ||B||``
+      means ``psd_leq`` is False.
+    * Weyl: ``lambda_min(B - D) >= lambda_min(B) - lambda_max(D)
+      = b_min - max(d)``, so ``max(d) - b_min <= tol ||B||`` means
+      ``psd_leq`` is True.
+
+    Both decisions keep a margin ``kappa * (||B|| + max d)`` with
+    ``kappa = 100 n eps``.  ``psd_leq`` sees ``D`` as ``fl(U.T diag(d) U)``
+    with a ``U`` orthonormal only to O(n eps), subtracts it from ``B`` in
+    floating point and takes ``eigvalsh``; ``c``, ``b_min`` and ``b_norm``
+    carry rounding of the same kind.  Each of these moves the quantities
+    compared by at most a small multiple of ``n eps (||B|| + max d)``
+    (backward stability of the symmetric eigensolver and of a length-n dot
+    product: Golub & Van Loan, *Matrix Computations*, 4th ed., §8.1; Horn &
+    Johnson, *Matrix Analysis*, 2nd ed., §4.2-4.3).  A verdict other than
+    undecided therefore never disagrees with ``psd_leq``; rows near either
+    bound come back undecided and need the full test.
+    """
+    n = d.shape[-1]
+    d_max = d.max(axis=-1)
+    slack = 100.0 * n * np.finfo(float).eps * (b_norm + d_max)
+    bound = tol * b_norm
+    reject = (d - c).max(axis=-1) > bound + slack
+    accept = d_max - b_min <= bound - slack
+    return np.where(reject, SCREEN_REJECT, np.where(accept, SCREEN_ACCEPT, SCREEN_UNDECIDED))
+
+
 # ---- brute-force determinant oracle ------------------------------------------
 
 def constrained_det_oracle(

@@ -16,6 +16,7 @@ from covrate.jsonio import (
     model_to_json,
     network_to_json,
 )
+from covrate.model import JointGaussianModel, analyze
 from covrate.simkit import scalar_example_network
 from conftest import scalar_remote_model
 
@@ -57,6 +58,19 @@ def test_cli_rdf_infeasible_distortion_exits_2(capsys, scalar_files, tmp_path):
     err_doc = json.loads(capsys.readouterr().err)
     assert code == 2
     assert err_doc["error"] == "InvalidDistortion"
+
+
+def test_cli_near_singular_gap_exits_2(capsys, tmp_path):
+    model = JointGaussianModel.without_z(np.eye(2), 2.0 * np.eye(2), np.eye(2))
+    model_path, d_path = tmp_path / "model.json", tmp_path / "D.json"
+    dump_json(model_to_json(model), model_path)
+    D = analyze(model).Sigma_x_given_yz + np.diag([1.0, 1e-11])
+    dump_json(matrix_to_json(D), d_path)
+    for command in ("rdf", "channel"):
+        code = main([command, "--model", str(model_path), "--distortion", str(d_path)])
+        err_doc = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err_doc["error"] == "InvalidDistortion"
 
 
 def test_cli_channel(capsys, scalar_files):

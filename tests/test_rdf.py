@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from covrate.errors import InvalidDistortion, NotNested, RankDeficient
-from covrate.model import analyze, conditional_cov
+from covrate.model import JointGaussianModel, analyze, conditional_cov
 from covrate.rdf import (
     channel_rate,
     check_distortion,
@@ -58,6 +58,22 @@ def test_rate_rejects_boundary_distortion(scalar_stats):
         rate_distortion(scalar_stats, np.array([[0.25]]))
     with pytest.raises(InvalidDistortion):
         check_distortion(scalar_stats, np.array([[0.2]]))
+
+
+def test_near_singular_gap_is_invalid_distortion_everywhere():
+    """A gap ``D - Sigma_x_given_yz`` that the joint diagonalizer's SPD test
+    refuses is refused by ``check_distortion`` too, so the rate and the test
+    channel raise InvalidDistortion rather than NotSpd; a gap that passes it
+    computes."""
+    st = analyze(JointGaussianModel.without_z(np.eye(2), 2.0 * np.eye(2), np.eye(2)))
+    for tiny in (1e-11, 1e-13):
+        D = st.Sigma_x_given_yz + np.diag([1.0, tiny])
+        for entry in (check_distortion, rate_distortion, make_channel):
+            with pytest.raises(InvalidDistortion):
+                entry(st, D)
+    D = st.Sigma_x_given_yz + np.diag([1.0, 1e-9])
+    assert rate_distortion(st, D).rate > 0.0
+    assert make_channel(st, D).n_active == 1
 
 
 def test_rate_rejects_rank_deficient_stats():

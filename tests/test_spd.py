@@ -8,6 +8,12 @@ from hypothesis import strategies as st
 
 from covrate.errors import DimensionMismatch, NotSpd
 from covrate.spd import (
+    SCREEN_ACCEPT,
+    SCREEN_REJECT,
+    SCREEN_UNDECIDED,
+    _eig_desc,
+    _psd_leq_screen,
+    _rotated_diag,
     constrained_det_oracle,
     joint_diagonalize,
     matrix_min,
@@ -154,3 +160,65 @@ def test_matrix_min_hypothesis_invariants(n, seed):
     assert rel_fro(M, sym_part(expected)) < 1e-8
     assert psd_leq(M, S1, tol=1e-8)
     assert psd_leq(M, S2, tol=1e-8)
+
+
+def _spd_with_cond(n: int, cond: float, rng: np.random.Generator) -> np.ndarray:
+    """Random SPD matrix with eigenvalues spread log-uniformly over [1, cond]."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = np.exp(rng.uniform(0.0, np.log(cond), size=n))
+    w[0], w[-1] = 1.0, cond
+    return sym_part(Q @ (w[:, None] * Q.T))
+
+
+def test_psd_leq_screen_decides_clear_cases():
+    rng = np.random.default_rng(19)
+    B = _spd_with_cond(6, 1e3, rng)
+    U, _ = _eig_desc(random_spd(6, rng))
+    c = _rotated_diag(U, B)
+    w = np.linalg.eigvalsh(B)
+    far_above = c + 0.1 * w[-1]
+    far_below = np.full(6, 0.5 * w[0])
+    mixed = np.minimum(c, 2.0 * w[0])  # below every quotient, above lambda_min
+    verdicts = _psd_leq_screen(np.stack([far_above, far_below]), c, w[0], w[-1], 1e-9)
+    assert verdicts.tolist() == [SCREEN_REJECT, SCREEN_ACCEPT]
+    assert _psd_leq_screen(mixed, c, w[0], w[-1], 1e-9) == SCREEN_UNDECIDED
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 4, 32, 64]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log10_cond=st.floats(min_value=0.0, max_value=8.0),
+    aligned=st.booleans(),
+    place=st.sampled_from(["reject", "accept", "free"]),
+    log10_offset=st.floats(min_value=-16.0, max_value=-8.0),
+    side=st.sampled_from([-1.0, 1.0]),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9]),
+)
+def test_psd_leq_screen_never_contradicts_psd_leq(
+    n, seed, log10_cond, aligned, place, log10_offset, side, tol
+):
+    """Reject implies ``psd_leq`` is False and accept implies it is True, for
+    SPD ``B`` up to condition number 1e8 and spectra placed within 1e-16 to
+    1e-8 (relative) of either bound, on either side.  In ``B``'s own
+    eigenbasis both bounds are tight, so only the rounding margin separates
+    the verdicts from ``psd_leq``'s."""
+    rng = np.random.default_rng(seed)
+    B = _spd_with_cond(n, 10.0**log10_cond, rng)
+    U, _ = _eig_desc(B if aligned else random_spd(n, rng))
+    c = _rotated_diag(U, B)
+    w = np.linalg.eigvalsh(B)
+    nudge = 1.0 + side * 10.0**log10_offset
+    if place == "reject":  # one entry at the Rayleigh-Ritz bound, the rest below it
+        d = c * rng.uniform(0.0, 1.0, size=n)
+        j = int(rng.integers(n))
+        d[j] = (c[j] + tol * w[-1]) * nudge
+    elif place == "accept":  # largest entry at the Weyl bound
+        d = (w[0] + tol * w[-1]) * rng.uniform(0.0, 1.0, size=n)
+        d[int(rng.integers(n))] = (w[0] + tol * w[-1]) * nudge
+    else:
+        d = rng.uniform(0.0, 2.0 * w[-1], size=n)
+    verdict = _psd_leq_screen(d, c, w[0], w[-1], tol)
+    if verdict != SCREEN_UNDECIDED:
+        D = sym_part(U.T @ (d[:, None] * U))
+        assert psd_leq(D, B, tol=tol) == (verdict == SCREEN_ACCEPT)
