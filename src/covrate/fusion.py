@@ -38,6 +38,7 @@ from .spd import (
     _eig_desc,
     _psd_leq_screen,
     _rotated_diag,
+    _weyl_accept,
     as_square,
     check_spd,
     check_symmetric,
@@ -56,6 +57,12 @@ DRAW_BLOCK = 256
 REGIME_MAXIMIZER = "Maximizer"
 REGIME_BOUNDARY = "Boundary"
 REGIME_MINIMIZER = "Minimizer"
+
+
+def _read_only(A: np.ndarray) -> np.ndarray:
+    """Mark ``A`` read-only and return it, so no cached factor can go stale."""
+    A.setflags(write=False)
+    return A
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,13 +87,18 @@ class SensorNode:
         alpha = float(self.alpha)
         if not 0.0 < alpha <= 1.0:
             raise InvalidParam(f"alpha = {alpha} outside (0, 1]")
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "Sigma_n", Sigma_n)
+        object.__setattr__(self, "W", _read_only(W))
+        object.__setattr__(self, "Sigma_n", _read_only(Sigma_n))
         object.__setattr__(self, "alpha", alpha)
 
     @property
     def n(self) -> int:
         return self.W.shape[0]
+
+    @cached_property
+    def Sigma_n_inv(self) -> np.ndarray:
+        """``np.linalg.inv(Sigma_n)``, computed once per node (read-only)."""
+        return _read_only(np.linalg.inv(self.Sigma_n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +125,7 @@ class FusionNetwork:
         R = float(self.R)
         if not np.isfinite(R) or R < 0.0:
             raise InvalidParam(f"rate budget R = {R} must be finite and >= 0")
-        object.__setattr__(self, "Sigma_xd", Sigma_xd)
+        object.__setattr__(self, "Sigma_xd", _read_only(Sigma_xd))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "R", R)
 
@@ -135,13 +147,27 @@ class FusionNetwork:
         out = []
         for i, node in enumerate(self.nodes):
             S = sym_part(node.W.T @ self.Sigma_xd @ node.W + node.Sigma_n)
-            out.append(check_spd(S, name=f"Sigma_y[{i}]"))
+            out.append(_read_only(check_spd(S, name=f"Sigma_y[{i}]")))
         return tuple(out)
 
     @cached_property
     def sigma_y_eigvals(self) -> tuple[np.ndarray, ...]:
-        """Ascending eigenvalues of each ``Sigma_y_i``."""
-        return tuple(np.linalg.eigvalsh(S) for S in self.sigma_y)
+        """Ascending eigenvalues of each ``Sigma_y_i`` (read-only)."""
+        return tuple(_read_only(np.linalg.eigvalsh(S)) for S in self.sigma_y)
+
+    @cached_property
+    def sigma_y_inv(self) -> tuple[np.ndarray, ...]:
+        """``np.linalg.inv(Sigma_y_i)`` per node, computed once (read-only)."""
+        return tuple(_read_only(np.linalg.inv(S)) for S in self.sigma_y)
+
+    @cached_property
+    def noise_gram(self) -> np.ndarray:
+        """``S = sum_i W_i Sigma_n_i^{-1} W_i^T`` — the analog (infinite-rate)
+        gram, computed once (read-only)."""
+        S = np.zeros((self.n, self.n))
+        for node in self.nodes:
+            S += node.W @ np.linalg.solve(node.Sigma_n, node.W.T)
+        return _read_only(sym_part(S))
 
     @cached_property
     def log_beta(self) -> float:
@@ -161,13 +187,17 @@ class Allocation:
     D: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = tuple(check_symmetric(Di, name=f"D[{i}]") for i, Di in enumerate(self.D))
+        mats = tuple(
+            _read_only(check_symmetric(Di, name=f"D[{i}]")) for i, Di in enumerate(self.D)
+        )
         object.__setattr__(self, "D", mats)
 
     @cached_property
     def eig_desc(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per matrix, the ``(U, lam)`` of :func:`covrate.spd.sym_eig_desc`."""
-        return tuple(_eig_desc(Di) for Di in self.D)
+        """Per matrix, the ``(U, lam)`` of :func:`covrate.spd.sym_eig_desc` (read-only)."""
+        return tuple(
+            (_read_only(U), _read_only(lam)) for U, lam in (_eig_desc(Di) for Di in self.D)
+        )
 
     def weighted_logdet(self, alphas: np.ndarray) -> float:
         """``sum_i alpha_i logdet D_i`` — the quantity the budget constrains."""
@@ -191,16 +221,30 @@ def allocation_valid(network: FusionNetwork, alloc: Allocation) -> bool:
 
 def check_allocation(network: FusionNetwork, alloc: Allocation) -> None:
     """Raise :class:`InvalidAllocation` unless every ``D_i`` is SPD and
-    ``D_i <= Sigma_y_i`` within ``ALLOC_TOL``."""
+    ``D_i <= Sigma_y_i`` within ``ALLOC_TOL``.
+
+    Node ``i`` is positive definite iff the smallest entry of
+    ``eigvalsh(D_i)`` is positive.  The largest entry ``w[-1]`` of the same
+    call then decides most nodes without another eigensolve: by Weyl's
+    inequality, ``w[-1] - lambda_min(Sigma_y_i) <= ALLOC_TOL ||Sigma_y_i||``
+    (less a rounding margin, :func:`covrate.spd._weyl_accept`) implies
+    ``psd_leq(D_i, Sigma_y_i, tol=ALLOC_TOL)``, with both eigenvalues of
+    ``Sigma_y_i`` read from :attr:`FusionNetwork.sigma_y_eigvals`.  Only the
+    other nodes call ``psd_leq``, so every verdict and message is the one
+    ``psd_leq`` gives.
+    """
     if len(alloc.D) != network.n_nodes:
         raise InvalidAllocation(
             f"allocation has {len(alloc.D)} matrices for {network.n_nodes} nodes"
         )
-    for i, (Di, Syi) in enumerate(zip(alloc.D, network.sigma_y)):
+    for i, (Di, Syi, ev) in enumerate(zip(alloc.D, network.sigma_y, network.sigma_y_eigvals)):
         if Di.shape != Syi.shape:
             raise InvalidAllocation(f"D[{i}] has shape {Di.shape}, expected {Syi.shape}")
-        if np.linalg.eigvalsh(Di)[0] <= 0.0:
+        w = np.linalg.eigvalsh(Di)
+        if w[0] <= 0.0:
             raise InvalidAllocation(f"D[{i}] is not positive definite")
+        if _weyl_accept(w[-1], ev[0], ev[-1], ALLOC_TOL, Di.shape[0]):
+            continue
         if not psd_leq(Di, Syi, tol=ALLOC_TOL):
             raise InvalidAllocation(f"D[{i}] exceeds the observation covariance")
 
@@ -256,17 +300,18 @@ def nld_filter(network: FusionNetwork, sigma_v: Sequence[np.ndarray]) -> np.ndar
     return H
 
 
-def equivalent_noise_inv(node: SensorNode, sigma_y: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Inverse of the node's decoder-equivalent noise covariance.
+def equivalent_noise_inv(network: FusionNetwork, i: int, D: np.ndarray) -> np.ndarray:
+    """Inverse of node ``i``'s decoder-equivalent noise covariance.
 
     The equivalent noise is ``Sigma_n + (D^{-1} - Sigma_y^{-1})^{-1}``, which
     blows up as ``D -> Sigma_y`` (zero rate).  Its inverse stays bounded, so it
     is computed directly via the Woodbury identity
     ``Sigma_v^{-1} = Sigma_n^{-1} - Sigma_n^{-1} (Q + Sigma_n^{-1})^{-1} Sigma_n^{-1}``
-    with ``Q = D^{-1} - Sigma_y^{-1}`` (PSD for any valid ``D``).
+    with ``Q = D^{-1} - Sigma_y^{-1}`` (PSD for any valid ``D``), using the
+    network's cached inverses of ``Sigma_n`` and ``Sigma_y``.
     """
-    Sn_inv = np.linalg.inv(node.Sigma_n)
-    Q = sym_part(np.linalg.inv(D) - np.linalg.inv(sigma_y))
+    Sn_inv = network.nodes[i].Sigma_n_inv
+    Q = sym_part(np.linalg.inv(D) - network.sigma_y_inv[i])
     inner = np.linalg.solve(sym_part(Q + Sn_inv), Sn_inv)
     return sym_part(Sn_inv - Sn_inv @ inner)
 
@@ -297,8 +342,8 @@ def output_snr(
     if validate:
         check_allocation(network, alloc)
     gram = np.zeros((network.n, network.n))
-    for node, Syi, Di in zip(network.nodes, network.sigma_y, alloc.D):
-        Svi_inv = equivalent_noise_inv(node, Syi, Di)
+    for i, (node, Di) in enumerate(zip(network.nodes, alloc.D)):
+        Svi_inv = equivalent_noise_inv(network, i, Di)
         gram += node.W @ Svi_inv @ node.W.T
     gram = sym_part(gram)
     try:
@@ -327,7 +372,7 @@ def kkt_terms(
     allocation-independent ceiling: ``Z`` is strictly below ``C`` in the PSD
     order for every finite ``D`` and approaches it as ``D`` grows.
     """
-    Sn_inv = np.linalg.inv(node.Sigma_n)
+    Sn_inv = node.Sigma_n_inv
     Sy_inv = np.linalg.inv(sigma_y)
     WSn = node.W @ Sn_inv
     mid_z = np.linalg.inv(sym_part(Sn_inv + np.linalg.inv(D) - Sy_inv))
@@ -335,14 +380,6 @@ def kkt_terms(
     Z = sym_part(WSn @ mid_z @ WSn.T)
     C = sym_part(WSn @ mid_c @ WSn.T)
     return Z, C
-
-
-def noise_gram(network: FusionNetwork) -> np.ndarray:
-    """``S = sum_i W_i Sigma_n_i^{-1} W_i^T`` — the analog (infinite-rate) gram."""
-    S = np.zeros((network.n, network.n))
-    for node in network.nodes:
-        S += node.W @ np.linalg.solve(node.Sigma_n, node.W.T)
-    return sym_part(S)
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,7 +407,7 @@ def kkt_state(
         Z, C = kkt_terms(node, Syi, Di)
         Zs.append(Z)
         Cs.append(C)
-    A = sym_part(noise_gram(network) - sum(Zs))
+    A = sym_part(network.noise_gram - sum(Zs))
     if lambda_mult is None:
         A2 = A @ A
         num, den = 0.0, 0.0
@@ -411,15 +448,13 @@ def kkt_residuals(
     A2 = state.A_mat @ state.A_mat
     stat = 0.0
     log_lhs = 0.0
-    for node, Syi, Z, C in zip(network.nodes, network.sigma_y, state.Z, state.C):
+    for node, Sy_inv, Z, C in zip(network.nodes, network.sigma_y_inv, state.Z, state.C):
         M = Z - Z @ np.linalg.solve(C, Z)
         stat = max(stat, float(np.linalg.norm(node.alpha * state.lambda_mult * A2 - M)))
-        Sn_inv = np.linalg.inv(node.Sigma_n)
+        Sn_inv = node.Sigma_n_inv
         WSn = Sn_inv @ node.W.T
         try:
-            inner = sym_part(
-                WSn @ np.linalg.solve(Z, WSn.T) - Sn_inv + np.linalg.inv(Syi)
-            )
+            inner = sym_part(WSn @ np.linalg.solve(Z, WSn.T) - Sn_inv + Sy_inv)
         except np.linalg.LinAlgError:
             log_lhs = np.inf
             break
@@ -428,7 +463,7 @@ def kkt_residuals(
             log_lhs = np.inf
             break
         log_lhs += -node.alpha * ld
-    mult = float(np.linalg.norm(state.A_mat - (noise_gram(network) - sum(state.Z))))
+    mult = float(np.linalg.norm(state.A_mat - (network.noise_gram - sum(state.Z))))
     target = network.log_beta if log_beta is None else float(log_beta)
     budget = float(abs(log_lhs - target)) if np.isfinite(log_lhs) else np.inf
     return KktResiduals(stationarity=stat, multiplier=mult, budget=budget)
@@ -446,7 +481,7 @@ def highrate_rmin(network: FusionNetwork) -> float:
     water-level product is bounded by ``|S|`` and the requested determinant
     budget exceeds what even infinite ``lambda`` provides.
     """
-    _, ld_S = np.linalg.slogdet(noise_gram(network))
+    _, ld_S = np.linalg.slogdet(network.noise_gram)
     n = network.n
     acc = 0.0
     for node, Syi in zip(network.nodes, network.sigma_y):
@@ -499,7 +534,7 @@ def highrate_allocate(network: FusionNetwork) -> HighRateResult:
             f"feasibility threshold {r_min:.6g}"
         )
     n = network.n
-    S = noise_gram(network)
+    S = network.noise_gram
     U_s, s = _eig_desc(S)
     log_gamma = network.log_beta
     for node in network.nodes:
@@ -541,11 +576,11 @@ def highrate_allocate(network: FusionNetwork) -> HighRateResult:
     a2 = a**2
 
     Ds, node_valid = [], []
-    for node, Syi in zip(network.nodes, network.sigma_y):
+    for node, Syi, Sy_inv in zip(network.nodes, network.sigma_y, network.sigma_y_inv):
         Z_inv = U_s.T @ (U_s / (node.alpha * lam * a2[:, None]))
-        Sn_inv = np.linalg.inv(node.Sigma_n)
+        Sn_inv = node.Sigma_n_inv
         WSn = Sn_inv @ node.W.T
-        D_inv = sym_part(WSn @ Z_inv @ WSn.T - Sn_inv + np.linalg.inv(Syi))
+        D_inv = sym_part(WSn @ Z_inv @ WSn.T - Sn_inv + Sy_inv)
         ok = bool(np.linalg.eigvalsh(D_inv)[0] > 0.0)
         Di = sym_part(np.linalg.inv(D_inv))
         ok = ok and psd_leq(Di, Syi, tol=ALLOC_TOL)

@@ -239,6 +239,33 @@ def _rotated_diag(U: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.sum((U @ B) * U, axis=1)
 
 
+def _screen_slack(n: int, b_norm, d_max):
+    """Rounding margin ``kappa * (||B|| + max d)`` of the screens, ``kappa = 100 n eps``."""
+    return 100.0 * n * np.finfo(float).eps * (b_norm + d_max)
+
+
+def _weyl_accept(d_max, b_min: float, b_norm: float, tol: float, n: int):
+    """Exact sufficient test for ``psd_leq(D, B, tol)`` from ``lambda_max(D)``.
+
+    ``B`` is SPD of order ``n`` with ``b_min``/``b_norm`` the smallest and
+    largest entries of ``eigvalsh(B)``, and ``d_max`` is the largest
+    eigenvalue of a symmetric ``D`` (or an array of them).  Weyl's inequality
+    gives ``lambda_min(B - D) >= lambda_min(B) - lambda_max(D)``, so
+    ``d_max - b_min <= tol ||B||`` means ``psd_leq`` is True; the test keeps
+    the margin :func:`_screen_slack` against rounding (see
+    :func:`_psd_leq_screen` for the argument).  When ``d_max`` is itself the
+    last entry of ``eigvalsh(D)`` rather than an exact spectrum, it carries
+    the eigensolver's error too: a backward-stable symmetric eigensolver
+    returns ``lambda_max`` of a matrix within a small multiple of
+    ``n eps ||D||`` of ``D``, so by Weyl again it misses the true
+    ``lambda_max(D)`` by at most that much (Golub & Van Loan, §8.1; Horn &
+    Johnson, §4.3), and ``||D|| = d_max`` up to the same error for a
+    positive definite ``D``.  The ``kappa * d_max`` part of the margin covers
+    it, so an accepted ``D`` is one ``psd_leq`` accepts.
+    """
+    return d_max - b_min <= tol * b_norm - _screen_slack(n, b_norm, d_max)
+
+
 def _psd_leq_screen(
     d: np.ndarray, c: np.ndarray, b_min: float, b_norm: float, tol: float
 ) -> np.ndarray:
@@ -273,10 +300,8 @@ def _psd_leq_screen(
     """
     n = d.shape[-1]
     d_max = d.max(axis=-1)
-    slack = 100.0 * n * np.finfo(float).eps * (b_norm + d_max)
-    bound = tol * b_norm
-    reject = (d - c).max(axis=-1) > bound + slack
-    accept = d_max - b_min <= bound - slack
+    reject = (d - c).max(axis=-1) > tol * b_norm + _screen_slack(n, b_norm, d_max)
+    accept = _weyl_accept(d_max, b_min, b_norm, tol, n)
     return np.where(reject, SCREEN_REJECT, np.where(accept, SCREEN_ACCEPT, SCREEN_UNDECIDED))
 
 

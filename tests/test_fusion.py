@@ -27,7 +27,6 @@ from covrate.fusion import (
     kkt_state,
     kkt_terms,
     nld_filter,
-    noise_gram,
     output_snr,
     per_node_rate,
     random_valid_allocations,
@@ -46,7 +45,7 @@ from conftest import random_spd, random_two_node_net, rel_fro
 
 def _snr_of_analog_array(network) -> float:
     """Infinite-rate SNR: signal trace over fused analog-noise trace."""
-    S = noise_gram(network)
+    S = network.noise_gram
     return float(np.trace(network.Sigma_xd) / np.trace(np.linalg.inv(S)))
 
 
@@ -90,7 +89,7 @@ def test_nld_filter_distortionless_and_noise_trace():
     Sv[: net.n, : net.n] = sigma_v[0]
     Sv[net.n :, net.n :] = sigma_v[1]
     out_noise = H @ Sv @ H.T
-    assert abs(np.trace(out_noise) - np.trace(np.linalg.inv(noise_gram(net)))) < 1e-9
+    assert abs(np.trace(out_noise) - np.trace(np.linalg.inv(net.noise_gram))) < 1e-9
 
 
 # ------------------------------------------------------------------- SNR ---
@@ -428,6 +427,6 @@ def test_coding_noise_matches_equivalent_noise():
     node, Sy = net.nodes[0], net.sigma_y[0]
     D = sym_part(0.5 * Sy)
     Sv = node.Sigma_n + coding_noise_cov(Sy, D)
-    assert rel_fro(np.linalg.inv(Sv), equivalent_noise_inv(node, Sy, D)) < 1e-9
+    assert rel_fro(np.linalg.inv(Sv), equivalent_noise_inv(net, 0, D)) < 1e-9
     with pytest.raises(InvalidAllocation):
         coding_noise_cov(Sy, Sy.copy())
