@@ -9,6 +9,9 @@ the script records:
 * the tier-1 suite (``python -m pytest -q --continue-on-collection-errors``
   with ``src`` on ``PYTHONPATH``): its wall time and its passed and failed
   counts;
+* kernel timings from one ``scripts/kernel_timings.py`` process on that
+  side's ``src`` (BLAS pinned to one thread): best-of-5 microseconds per call
+  of each kernel at n = 4 and n = 32, and of one ``scalar_allocate`` sweep;
 * each experiment of ``scripts/run_experiments.py`` at its default
   parameters, one process per experiment (import included): its wall time,
   and whether its CSV and JSON are byte-identical between the two sides;
@@ -71,10 +74,17 @@ def build_record(meta: dict, sides: dict[str, dict]) -> dict:
     """The recorded document from both sides' raw measurements.
 
     ``sides`` maps ``"parent"`` and ``"change"`` to ``{"tier1": {...},
-    "experiments": {name: {"seconds", "csv", "json"}}, "bench": {workload:
-    parse_bench_output(...)}}``, where ``csv``/``json`` are the file bytes.
+    "kernels": {name: microseconds}, "experiments": {name: {"seconds", "csv",
+    "json"}}, "bench": {workload: parse_bench_output(...)}}``, where
+    ``csv``/``json`` are the file bytes.  A kernel only one side times gets
+    ``None`` on the other.
     """
     parent, change = sides["parent"], sides["change"]
+    p_kern, c_kern = parent["kernels"], change["kernels"]
+    kernels = {
+        name: {"parent_us": p_kern.get(name), "change_us": c_kern.get(name)}
+        for name in sorted(p_kern.keys() | c_kern.keys())
+    }
     experiments = {}
     for name in parent["experiments"]:
         p, c = parent["experiments"][name], change["experiments"][name]
@@ -97,6 +107,7 @@ def build_record(meta: dict, sides: dict[str, dict]) -> dict:
     return {
         **meta,
         "tier1": {name: sides[name]["tier1"] for name in ("parent", "change")},
+        "kernels": kernels,
         "experiments": experiments,
         "bench": bench,
     }
@@ -112,6 +123,13 @@ def _timed(cmd: list[str], cwd: Path) -> tuple[float, subprocess.CompletedProces
 def _tier1(side: Path) -> dict:
     seconds, proc = _timed(TIER1, side)
     return {"seconds": round(seconds, 1), **parse_pytest_counts(proc.stdout)}
+
+
+def _kernels(side: Path) -> dict[str, float]:
+    _, proc = _timed([sys.executable, str(ROOT / "scripts" / "kernel_timings.py")], side)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: kernel timings failed in {side}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
 
 
 def _experiment(side: Path, name: str, out: Path) -> dict:
@@ -175,6 +193,9 @@ def main(argv: list[str] | None = None) -> int:
         for name in order:
             print(f"# tier-1 {name}", flush=True)
             sides[name]["tier1"] = _tier1(dirs[name])
+        for name in order[::-1]:
+            print(f"# kernels {name}", flush=True)
+            sides[name]["kernels"] = _kernels(dirs[name])
         for k, exp in enumerate(EXPERIMENTS):
             for name in order if k % 2 == 0 else order[::-1]:
                 print(f"# experiment {exp} {name}", flush=True)
@@ -185,7 +206,8 @@ def main(argv: list[str] | None = None) -> int:
                 sides[name]["bench"][w["name"]] = _bench(dirs[name], w["name"], spec["run_seconds"])
     record = build_record(meta, sides)
     args.output.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(json.dumps({"tier1": record["tier1"], "experiments": record["experiments"],
+    print(json.dumps({"tier1": record["tier1"], "kernels": record["kernels"],
+                      "experiments": record["experiments"],
                       "digests_equal": {w: b["digests_equal"] for w, b in record["bench"].items()}},
                      indent=2))
     return 0

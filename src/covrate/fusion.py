@@ -100,6 +100,16 @@ class SensorNode:
         """``np.linalg.inv(Sigma_n)``, computed once per node (read-only)."""
         return _read_only(np.linalg.inv(self.Sigma_n))
 
+    @cached_property
+    def logdet_Sigma_n(self) -> np.float64:
+        """``np.linalg.slogdet(Sigma_n)[1]``, computed once per node."""
+        return np.linalg.slogdet(self.Sigma_n)[1]
+
+    @cached_property
+    def logdet_W(self) -> np.float64:
+        """``np.linalg.slogdet(W)[1]`` (log of ``|det W|``), computed once per node."""
+        return np.linalg.slogdet(self.W)[1]
+
 
 @dataclass(frozen=True, eq=False)
 class FusionNetwork:
@@ -168,6 +178,15 @@ class FusionNetwork:
         for node in self.nodes:
             S += node.W @ np.linalg.solve(node.Sigma_n, node.W.T)
         return _read_only(sym_part(S))
+
+    @cached_property
+    def kkt_ceiling(self) -> tuple[np.ndarray, ...]:
+        """Per node, the allocation-independent ``C_i`` of :func:`kkt_terms`,
+        from the cached inverses of ``Sigma_n_i`` and ``Sigma_y_i`` (read-only)."""
+        return tuple(
+            _read_only(_kkt_ceiling(node.W @ node.Sigma_n_inv, node.Sigma_n_inv, Sy_inv))
+            for node, Sy_inv in zip(self.nodes, self.sigma_y_inv)
+        )
 
     @cached_property
     def log_beta(self) -> float:
@@ -356,6 +375,47 @@ def output_snr(
     return Snr(linear=linear, db=10.0 * np.log10(linear))
 
 
+def _scalar_snr_db(network: FusionNetwork, D1: np.ndarray, D2: np.ndarray) -> np.ndarray:
+    """``output_snr(network, Allocation(([[D1[k]]], [[D2[k]]])), validate=False).db``
+    for every ``k`` of a two-node scalar network, elementwise.
+
+    Each step of :func:`output_snr`'s chain on 1×1 matrices has an exact
+    elementwise counterpart: ``inv([[x]])`` is ``1.0 / x``,
+    ``solve([[a]], [[b]])`` is ``b / a`` (not ``b * (1.0 / a)``, which rounds
+    differently), 1×1 products and traces are the product and the entry, and
+    :func:`covrate.spd.sym_part` of a 1-D array is the ``0.5 * (x + x)`` it
+    takes of a 1×1 matrix.  So, per node, with the cached ``Sn_inv`` and
+    ``Sy_inv`` of :func:`equivalent_noise_inv` and ``Allocation``'s
+    symmetrized ``D``::
+
+        q = sym_part(1 / D - Sy_inv)
+        s = sym_part(Sn_inv - Sn_inv * (Sn_inv / sym_part(q + Sn_inv)))
+        gram += (w * s) * w
+
+    then ``linear = Sigma_xd / (1 / sym_part(gram))`` and
+    ``db = 10 log10(linear)``, in that order, which reproduces every float.
+    Raises :class:`SingularGram` with ``output_snr``'s message at the first
+    ``k`` where it raises: ``gram == 0`` (``inv`` fails) or ``linear <= 0``.
+    """
+    gram = np.zeros(len(D1))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for node, Sy_inv, D in zip(network.nodes, network.sigma_y_inv, (D1, D2)):
+            Sn_inv = node.Sigma_n_inv[0, 0]
+            w = node.W[0, 0]
+            q = sym_part(1.0 / sym_part(D) - Sy_inv[0, 0])
+            s = sym_part(Sn_inv - Sn_inv * (Sn_inv / sym_part(q + Sn_inv)))
+            gram += (w * s) * w
+        gram = sym_part(gram)
+        linear = network.Sigma_xd[0, 0] / (1.0 / gram)
+        db = 10.0 * np.log10(linear)
+    failed = (gram == 0.0) | (linear <= 0.0)
+    if failed.any():
+        if gram[np.argmax(failed)] == 0.0:
+            raise SingularGram("zero-information allocation: fused noise is unbounded")
+        raise SingularGram("fused noise power is not positive")
+    return db
+
+
 # --------------------------------------------------------------------------
 # KKT system
 # --------------------------------------------------------------------------
@@ -376,10 +436,14 @@ def kkt_terms(
     Sy_inv = np.linalg.inv(sigma_y)
     WSn = node.W @ Sn_inv
     mid_z = np.linalg.inv(sym_part(Sn_inv + np.linalg.inv(D) - Sy_inv))
-    mid_c = np.linalg.inv(sym_part(Sn_inv - Sy_inv))
     Z = sym_part(WSn @ mid_z @ WSn.T)
-    C = sym_part(WSn @ mid_c @ WSn.T)
-    return Z, C
+    return Z, _kkt_ceiling(WSn, Sn_inv, Sy_inv)
+
+
+def _kkt_ceiling(WSn: np.ndarray, Sn_inv: np.ndarray, Sy_inv: np.ndarray) -> np.ndarray:
+    """``C = W Sn^{-1} (Sn^{-1} - Sy^{-1})^{-1} Sn^{-1} W^T`` from ``WSn = W Sn^{-1}``."""
+    mid_c = np.linalg.inv(sym_part(Sn_inv - Sy_inv))
+    return sym_part(WSn @ mid_c @ WSn.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,9 +550,9 @@ def highrate_rmin(network: FusionNetwork) -> float:
     acc = 0.0
     for node, Syi in zip(network.nodes, network.sigma_y):
         _, ld_y = np.linalg.slogdet(Syi)
-        _, ld_n = np.linalg.slogdet(node.Sigma_n)
-        ld_w = np.linalg.slogdet(node.W)[1]
-        acc += node.alpha * (ld_y - n * np.log(node.alpha) - 2.0 * ld_n + 2.0 * ld_w)
+        acc += node.alpha * (
+            ld_y - n * np.log(node.alpha) - 2.0 * node.logdet_Sigma_n + 2.0 * node.logdet_W
+        )
     return 0.5 * float(acc - ld_S)
 
 
@@ -538,9 +602,9 @@ def highrate_allocate(network: FusionNetwork) -> HighRateResult:
     U_s, s = _eig_desc(S)
     log_gamma = network.log_beta
     for node in network.nodes:
-        _, ld_n = np.linalg.slogdet(node.Sigma_n)
-        ld_w = np.linalg.slogdet(node.W)[1]
-        log_gamma -= node.alpha * (n * np.log(node.alpha) + 2.0 * ld_n - 2.0 * ld_w)
+        log_gamma -= node.alpha * (
+            n * np.log(node.alpha) + 2.0 * node.logdet_Sigma_n - 2.0 * node.logdet_W
+        )
 
     def g(t):
         lam = np.exp(t)
@@ -610,11 +674,9 @@ def highrate_state(network: FusionNetwork, result: HighRateResult) -> KktState:
     """KKT-state view of a high-rate solution (``Z_i = alpha_i lambda A^2``)."""
     A2 = result.A_mat @ result.A_mat
     Zs = tuple(node.alpha * result.lambda_mult * A2 for node in network.nodes)
-    Cs = tuple(
-        kkt_terms(node, Syi, Syi)[1]
-        for node, Syi in zip(network.nodes, network.sigma_y)
+    return KktState(
+        Z=Zs, C=network.kkt_ceiling, A_mat=result.A_mat, lambda_mult=result.lambda_mult
     )
-    return KktState(Z=Zs, C=Cs, A_mat=result.A_mat, lambda_mult=result.lambda_mult)
 
 
 # --------------------------------------------------------------------------
@@ -656,6 +718,13 @@ def scalar_allocate(network: FusionNetwork, sweep_points: int = 1000) -> ScalarA
     Requires ``n = 1``, two nodes, equal weights ``1/2``, and equal mixing
     scalars (the closed form is derived under these assumptions); otherwise
     raises :class:`AssumptionViolated`.
+
+    The SNRs are those of :func:`output_snr`, bit for bit, evaluated for the
+    stationary point and then the whole sweep by :func:`_scalar_snr_db`.  The
+    sweep needs both ends of the curve ``D1 D2 = beta^2`` as positive floats:
+    with ``beta = e^{-2R} sqrt(Sy1 Sy2)``, ``beta^2 / max(Sy1, Sy2) > 0``,
+    which on unit-scale networks holds up to about 186 nats (186.35 on the
+    worked example).  Larger budgets raise :class:`InvalidParam`.
     """
     if network.n != 1 or network.n_nodes != 2:
         raise AssumptionViolated("closed form needs two scalar nodes")
@@ -691,24 +760,28 @@ def scalar_allocate(network: FusionNetwork, sweep_points: int = 1000) -> ScalarA
     else:
         regime = REGIME_BOUNDARY
 
-    def snr_db(D1: float, D2: float) -> float:
-        alloc = Allocation(D=(np.array([[D1]]), np.array([[D2]])))
-        return output_snr(network, alloc, validate=False).db
-
     feasible = (
         np.isfinite(d1)
         and np.isfinite(d2)
         and 0.0 < d1 <= Sy1 * (1.0 + 1e-12)
         and 0.0 < d2 <= Sy2 * (1.0 + 1e-12)
     )
-    stat_snr = snr_db(min(d1, Sy1), min(d2, Sy2)) if feasible else float("nan")
+    if feasible:
+        stat_snr = _scalar_snr_db(network, np.array([min(d1, Sy1)]), np.array([min(d2, Sy2)]))[0]
+    else:
+        stat_snr = float("nan")
 
     # Feasible constraint curve: D2 = beta^2 / D1 with both coordinates below
     # their observation variances.
     lo = beta**2 / Sy2
     hi = Sy1
+    if not min(lo, beta**2 / hi) > 0.0:
+        raise InvalidParam(
+            f"rate budget R = {R:.6g} nats is too large for the scalar sweep: "
+            f"the constraint curve D1 * D2 = beta^2 underflows (beta = {beta:.3g})"
+        )
     grid = np.geomspace(lo, hi, sweep_points)
-    snrs = np.array([snr_db(float(g), float(beta**2 / g)) for g in grid])
+    snrs = _scalar_snr_db(network, grid, beta**2 / grid)
     k = int(np.argmax(snrs))
 
     return ScalarAllocationResult(

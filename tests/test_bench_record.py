@@ -24,6 +24,7 @@ def bench_stdout(untraced: str, traced: str | None, correct: bool = True) -> str
 def side(seconds: float, csv: bytes, bench: dict) -> dict:
     return {
         "tier1": {"seconds": 30.0, "passed": 216, "failed": 2, "errors": 0},
+        "kernels": {},
         "experiments": {"global-max": {"seconds": seconds, "csv": csv, "json": b"{}\n"}},
         "bench": bench,
     }
@@ -73,3 +74,20 @@ def test_missing_traced_digest_is_never_equal():
     change = side(1.0, b"", {"population": parse(bench_stdout("aa", None))})
     record = bench_record.build_record({}, {"parent": parent, "change": change})
     assert record["bench"]["population"]["digests_equal"] is False
+
+
+def test_build_record_pairs_kernel_timings():
+    parse = bench_record.parse_bench_output
+    parent = side(1.0, b"", {"population": parse(bench_stdout("aa", "aa"))})
+    change = side(1.0, b"", {"population": parse(bench_stdout("aa", "aa"))})
+    parent["kernels"] = {"psd_leq.n4": 60.5, "scalar_allocate.sweep": 91000.0}
+    change["kernels"] = {"psd_leq.n4": 59.0, "scalar_allocate.sweep": 110.2, "new.n32": 3.0}
+    record = bench_record.build_record({}, {"parent": parent, "change": change})
+    assert record["kernels"] == {
+        "new.n32": {"parent_us": None, "change_us": 3.0},
+        "psd_leq.n4": {"parent_us": 60.5, "change_us": 59.0},
+        "scalar_allocate.sweep": {"parent_us": 91000.0, "change_us": 110.2},
+    }
+    assert list(record["kernels"]) == sorted(record["kernels"])
+    json.dumps(record)
+

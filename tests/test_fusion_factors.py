@@ -6,8 +6,10 @@ the expressions they replace.
 were before the inverses of ``Sigma_n`` and ``Sigma_y`` and the noise gram
 were cached and before ``check_allocation`` decided nodes by Weyl's
 inequality: every ``Sigma`` inverted on every call, and every node tested with
-``psd_leq``.  The production functions must give equal floats, the same
-verdict and the same error message on every input.
+``psd_leq``.  ``reference_highrate_rmin`` is ``highrate_rmin`` as it was
+before each node's log-determinants of ``Sigma_n`` and ``W`` were cached.
+The production functions must give equal floats, the same verdict and the
+same error message on every input.
 """
 from __future__ import annotations
 
@@ -28,6 +30,9 @@ from covrate.fusion import (
     check_allocation,
     equivalent_noise_inv,
     highrate_allocate,
+    highrate_rmin,
+    highrate_state,
+    kkt_terms,
     output_snr,
     random_valid_allocations,
 )
@@ -98,6 +103,19 @@ def reference_noise_gram(network: FusionNetwork) -> np.ndarray:
     return sym_part(S)
 
 
+def reference_highrate_rmin(network: FusionNetwork) -> float:
+    """Feasibility threshold of the high-rate allocator (nats)."""
+    _, ld_S = np.linalg.slogdet(network.noise_gram)
+    n = network.n
+    acc = 0.0
+    for node, Syi in zip(network.nodes, network.sigma_y):
+        _, ld_y = np.linalg.slogdet(Syi)
+        _, ld_n = np.linalg.slogdet(node.Sigma_n)
+        ld_w = np.linalg.slogdet(node.W)[1]
+        acc += node.alpha * (ld_y - n * np.log(node.alpha) - 2.0 * ld_n + 2.0 * ld_w)
+    return 0.5 * float(acc - ld_S)
+
+
 def outcome(fn, *args, **kwargs):
     """``("ok", value)`` or the exception's type name and message."""
     try:
@@ -158,6 +176,20 @@ def test_cached_factors_equal_fresh_expressions(key):
         assert np.array_equal(
             equivalent_noise_inv(net, i, D), reference_equivalent_noise_inv(node, Syi, D)
         )
+
+
+@pytest.mark.parametrize("key", sorted(NETWORKS))
+def test_cached_log_determinants_and_kkt_ceiling_equal_fresh_expressions(key):
+    net = NETWORKS[key]
+    for node, Syi, C in zip(net.nodes, net.sigma_y, net.kkt_ceiling):
+        assert np.array_equal(node.logdet_Sigma_n, np.linalg.slogdet(node.Sigma_n)[1])
+        assert np.array_equal(node.logdet_W, np.linalg.slogdet(node.W)[1])
+        assert np.array_equal(C, kkt_terms(node, Syi, Syi)[1])
+    assert highrate_rmin(net) == reference_highrate_rmin(net)
+    state = highrate_state(net, highrate_allocate(net))
+    assert len(state.C) == net.n_nodes
+    for node, Syi, C in zip(net.nodes, net.sigma_y, state.C):
+        assert np.array_equal(C, kkt_terms(node, Syi, Syi)[1])
 
 
 @pytest.mark.parametrize("key", sorted(NETWORKS))
@@ -228,7 +260,7 @@ def test_validated_arrays_and_cached_factors_are_read_only():
     alloc = uniform_allocation(net)
     arrays = [
         net.Sigma_xd, node.W, node.Sigma_n, node.Sigma_n_inv, net.noise_gram,
-        *net.sigma_y, *net.sigma_y_inv, *net.sigma_y_eigvals, *alloc.D,
+        *net.kkt_ceiling, *net.sigma_y, *net.sigma_y_inv, *net.sigma_y_eigvals, *alloc.D,
         *(a for pair in alloc.eig_desc for a in pair),
     ]
     assert not any(a.flags.writeable for a in arrays)
@@ -238,6 +270,8 @@ def test_validated_arrays_and_cached_factors_are_read_only():
         node.Sigma_n[0, 0] += 1.0
     with pytest.raises(ValueError):
         alloc.D[0][...] = 0.0
+    with pytest.raises(ValueError):
+        net.kkt_ceiling[1][0, 0] = 0.0
     # the caller's arrays are copied, not frozen
     W = np.eye(2)
     SensorNode(W=W, Sigma_n=np.eye(2), alpha=1.0)
