@@ -31,12 +31,16 @@ from .errors import (
     InvalidParam,
     SingularGram,
 )
-from .model import psd_repair
+from .model import _psd_repair
 from .spd import (
     SCREEN_ACCEPT,
     SCREEN_REJECT,
     _eig_desc,
+    _norm_from_eigvals,
+    _psd_leq,
     _psd_leq_screen,
+    _read_only,
+    _require_finite,
     _rotated_diag,
     _weyl_accept,
     as_square,
@@ -57,12 +61,6 @@ DRAW_BLOCK = 256
 REGIME_MAXIMIZER = "Maximizer"
 REGIME_BOUNDARY = "Boundary"
 REGIME_MINIMIZER = "Minimizer"
-
-
-def _read_only(A: np.ndarray) -> np.ndarray:
-    """Mark ``A`` read-only and return it, so no cached factor can go stale."""
-    A.setflags(write=False)
-    return A
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,14 +187,18 @@ class FusionNetwork:
         )
 
     @cached_property
+    def logdet_sigma_y(self) -> tuple[np.float64, ...]:
+        """``np.linalg.slogdet(Sigma_y_i)[1]`` per node, computed once."""
+        return tuple(np.linalg.slogdet(S)[1] for S in self.sigma_y)
+
+    @cached_property
     def log_beta(self) -> float:
         """Log of the determinant budget: ``sum_i alpha_i logdet Sigma_y_i - 2R``.
 
         An allocation meets the sum-rate budget exactly iff
         ``sum_i alpha_i logdet D_i`` equals this value.
         """
-        lds = [np.linalg.slogdet(S)[1] for S in self.sigma_y]
-        return float(np.dot(self.alphas, lds) - 2.0 * self.R)
+        return float(np.dot(self.alphas, self.logdet_sigma_y) - 2.0 * self.R)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,6 +231,17 @@ class Allocation:
         return float(total)
 
 
+def _dominated(network: FusionNetwork, i: int, D: np.ndarray) -> bool:
+    """``psd_leq(D, Sigma_y_i, tol=ALLOC_TOL)`` for an exactly symmetric ``D``
+    of ``Sigma_y_i``'s shape, with ``||Sigma_y_i||`` read from
+    :attr:`FusionNetwork.sigma_y_eigvals` instead of another ``eigvalsh``.
+    For such a ``D`` the checks of ``psd_leq`` reduce to its finiteness
+    test, which is kept with its message."""
+    _require_finite(D, "A")
+    norm = _norm_from_eigvals(network.sigma_y_eigvals[i])
+    return _psd_leq(D, network.sigma_y[i], norm, ALLOC_TOL)
+
+
 def allocation_valid(network: FusionNetwork, alloc: Allocation) -> bool:
     """True iff :func:`check_allocation` accepts the allocation."""
     try:
@@ -249,8 +262,8 @@ def check_allocation(network: FusionNetwork, alloc: Allocation) -> None:
     (less a rounding margin, :func:`covrate.spd._weyl_accept`) implies
     ``psd_leq(D_i, Sigma_y_i, tol=ALLOC_TOL)``, with both eigenvalues of
     ``Sigma_y_i`` read from :attr:`FusionNetwork.sigma_y_eigvals`.  Only the
-    other nodes call ``psd_leq``, so every verdict and message is the one
-    ``psd_leq`` gives.
+    other nodes take the full test (:func:`_dominated`), so
+    every verdict and message is the one ``psd_leq`` gives.
     """
     if len(alloc.D) != network.n_nodes:
         raise InvalidAllocation(
@@ -264,18 +277,23 @@ def check_allocation(network: FusionNetwork, alloc: Allocation) -> None:
             raise InvalidAllocation(f"D[{i}] is not positive definite")
         if _weyl_accept(w[-1], ev[0], ev[-1], ALLOC_TOL, Di.shape[0]):
             continue
-        if not psd_leq(Di, Syi, tol=ALLOC_TOL):
+        if not _dominated(network, i, Di):
             raise InvalidAllocation(f"D[{i}] exceeds the observation covariance")
 
 
 def per_node_rate(sigma_y: np.ndarray, D: np.ndarray) -> float:
     """Coding rate ``1/2 log(|Sigma_y| / |D|)`` in nats for one node."""
-    if not psd_leq(D, sigma_y, tol=ALLOC_TOL):
+    return _node_rate(D, psd_leq(D, sigma_y, tol=ALLOC_TOL), np.linalg.slogdet(sigma_y)[1])
+
+
+def _node_rate(D: np.ndarray, dominated: bool, ld_y: float) -> float:
+    """:func:`per_node_rate` given its ``psd_leq`` verdict and
+    ``ld_y = slogdet(sigma_y)[1]``."""
+    if not dominated:
         raise InvalidAllocation("D exceeds the observation covariance")
     sign, ld_d = np.linalg.slogdet(D)
     if sign <= 0:
         raise InvalidAllocation("D is not positive definite")
-    _, ld_y = np.linalg.slogdet(sigma_y)
     return max(0.5 * (ld_y - ld_d), 0.0)
 
 
@@ -435,9 +453,13 @@ def kkt_terms(
     Sn_inv = node.Sigma_n_inv
     Sy_inv = np.linalg.inv(sigma_y)
     WSn = node.W @ Sn_inv
+    return _kkt_z(WSn, Sn_inv, Sy_inv, D), _kkt_ceiling(WSn, Sn_inv, Sy_inv)
+
+
+def _kkt_z(WSn: np.ndarray, Sn_inv: np.ndarray, Sy_inv: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """``Z = W Sn^{-1} (Sn^{-1} + D^{-1} - Sy^{-1})^{-1} Sn^{-1} W^T`` from ``WSn = W Sn^{-1}``."""
     mid_z = np.linalg.inv(sym_part(Sn_inv + np.linalg.inv(D) - Sy_inv))
-    Z = sym_part(WSn @ mid_z @ WSn.T)
-    return Z, _kkt_ceiling(WSn, Sn_inv, Sy_inv)
+    return sym_part(WSn @ mid_z @ WSn.T)
 
 
 def _kkt_ceiling(WSn: np.ndarray, Sn_inv: np.ndarray, Sy_inv: np.ndarray) -> np.ndarray:
@@ -466,11 +488,12 @@ def kkt_state(
     equations ``alpha_i lambda A^2 = Z_i - Z_i C_i^{-1} Z_i``; at an exact
     stationary point the fit recovers the true multiplier.
     """
-    Zs, Cs = [], []
-    for node, Syi, Di in zip(network.nodes, network.sigma_y, alloc.D):
-        Z, C = kkt_terms(node, Syi, Di)
-        Zs.append(Z)
-        Cs.append(C)
+    # kkt_terms(node, Sigma_y_i, D_i) on the cached inverses and ceilings.
+    Zs = [
+        _kkt_z(node.W @ node.Sigma_n_inv, node.Sigma_n_inv, Sy_inv, Di)
+        for node, Sy_inv, Di in zip(network.nodes, network.sigma_y_inv, alloc.D)
+    ]
+    Cs = network.kkt_ceiling
     A = sym_part(network.noise_gram - sum(Zs))
     if lambda_mult is None:
         A2 = A @ A
@@ -480,7 +503,7 @@ def kkt_state(
             num += node.alpha * float(np.tensordot(A2, M))
             den += node.alpha**2 * float(np.tensordot(A2, A2))
         lambda_mult = num / den if den > 0 else 0.0
-    return KktState(Z=tuple(Zs), C=tuple(Cs), A_mat=A, lambda_mult=float(lambda_mult))
+    return KktState(Z=tuple(Zs), C=Cs, A_mat=A, lambda_mult=float(lambda_mult))
 
 
 @dataclass(frozen=True)
@@ -548,8 +571,7 @@ def highrate_rmin(network: FusionNetwork) -> float:
     _, ld_S = np.linalg.slogdet(network.noise_gram)
     n = network.n
     acc = 0.0
-    for node, Syi in zip(network.nodes, network.sigma_y):
-        _, ld_y = np.linalg.slogdet(Syi)
+    for node, ld_y in zip(network.nodes, network.logdet_sigma_y):
         acc += node.alpha * (
             ld_y - n * np.log(node.alpha) - 2.0 * node.logdet_Sigma_n + 2.0 * node.logdet_W
         )
@@ -639,22 +661,33 @@ def highrate_allocate(network: FusionNetwork) -> HighRateResult:
     A = sym_part(U_s.T @ (a[:, None] * U_s))
     a2 = a**2
 
-    Ds, node_valid = [], []
-    for node, Syi, Sy_inv in zip(network.nodes, network.sigma_y, network.sigma_y_inv):
+    Ds, node_valid, repaired = [], [], []
+    for i, (node, Sy_inv) in enumerate(zip(network.nodes, network.sigma_y_inv)):
         Z_inv = U_s.T @ (U_s / (node.alpha * lam * a2[:, None]))
         Sn_inv = node.Sigma_n_inv
         WSn = Sn_inv @ node.W.T
         D_inv = sym_part(WSn @ Z_inv @ WSn.T - Sn_inv + Sy_inv)
         ok = bool(np.linalg.eigvalsh(D_inv)[0] > 0.0)
         Di = sym_part(np.linalg.inv(D_inv))
-        ok = ok and psd_leq(Di, Syi, tol=ALLOC_TOL)
-        Ds.append(psd_repair(Di) if ok else Di)
+        ok = ok and _dominated(network, i, Di)
+        Di, clipped = _psd_repair(Di) if ok else (Di, False)
+        Ds.append(Di)
         node_valid.append(ok)
+        repaired.append(clipped)
 
     alloc = Allocation(D=tuple(Ds))
     valid = all(node_valid)
     if valid:
-        achieved = weighted_sum_rate(network, alloc)
+        # weighted_sum_rate(network, alloc): a node psd_repair left alone
+        # keeps its bits through Allocation, so its psd_leq verdict stands.
+        achieved = float(
+            sum(
+                node.alpha * _node_rate(Di, not clipped or _dominated(network, i, Di), ld_y)
+                for i, (node, Di, clipped, ld_y) in enumerate(
+                    zip(network.nodes, alloc.D, repaired, network.logdet_sigma_y)
+                )
+            )
+        )
     else:
         achieved = float("nan")
     return HighRateResult(
@@ -836,7 +869,8 @@ def random_valid_allocations(
     ``Sigma_y_i - D_i`` on a row of ``U_i`` bounds its smallest eigenvalue
     from above (reject), and Weyl's inequality bounds it from below by
     ``lambda_min(Sigma_y_i) - max(d)`` (accept).  Only draws between the
-    bounds reach ``psd_leq``, so every verdict is the one ``psd_leq`` gives.
+    bounds take the full test (:func:`_dominated`), so every verdict is the
+    one ``psd_leq`` gives.
 
     Candidate spectra are drawn in blocks of 1, 2, 4, ... up to
     :data:`DRAW_BLOCK` rows from one ``rng.uniform`` call, which consumes the
@@ -872,7 +906,6 @@ def random_valid_allocations(
         (``None, None`` if all ``limit`` fail).  The last node passes
         ``lead_logdet`` to have its draws rescaled onto the budget."""
         U, lam = eigs[i]
-        Syi = network.sigma_y[i]
         ev = network.sigma_y_eigvals[i]
         screen = (diags[i], ev[0], ev[-1], ALLOC_TOL)
         high = 5.0 * lam[0]
@@ -898,7 +931,7 @@ def random_valid_allocations(
                 if verdict == SCREEN_REJECT:
                     continue
                 Di = sym_part(U.T @ (d[:, None] * U))
-                if verdict == SCREEN_ACCEPT or psd_leq(Di, Syi, tol=ALLOC_TOL):
+                if verdict == SCREEN_ACCEPT or _dominated(network, i, Di):
                     if j + 1 < k:  # give back the draws after row j
                         rng.bit_generator.state = state
                         rng.uniform(0.0, high, size=(j + 1, n))

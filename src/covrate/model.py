@@ -15,6 +15,7 @@ statistic ``y' = A y`` given ``z``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,17 @@ from .errors import (
     SingularConditioningBlock,
     SingularObservationCovariance,
 )
-from .spd import EPS_PSD, check_spd, check_symmetric, spectral_norm_sym, sym_part
+from .spd import (
+    EPS_PSD,
+    _eig_desc,
+    _norm_from_eigvals,
+    _read_only,
+    _require_spd,
+    check_spd,
+    check_symmetric,
+    spectral_norm_sym,
+    sym_part,
+)
 
 #: Relative floor below which negative Schur-complement eigenvalues are an error.
 PSD_REPAIR_FLOOR = 1e-10
@@ -42,17 +53,24 @@ def psd_repair(A: np.ndarray, scale_hint: float = 0.0) -> np.ndarray:
     residue against the magnitude of the inputs rather than of the near-zero
     result.
     """
+    return _psd_repair(A, scale_hint)[0]
+
+
+def _psd_repair(A: np.ndarray, scale_hint: float = 0.0) -> tuple[np.ndarray, bool]:
+    """:func:`psd_repair`, and whether it clipped: when it did not, the
+    result is ``sym_part(A)``, which has the bits of an exactly symmetric
+    finite ``A``."""
     A = sym_part(np.asarray(A, dtype=float))
     if A.size == 0:
-        return A
+        return A, False
     w, Q = np.linalg.eigh(A)
     scale = max(abs(w[0]), abs(w[-1]), scale_hint, np.finfo(float).tiny)
     if w[0] < -PSD_REPAIR_FLOOR * scale:
         raise NotSpd(f"matrix is not PSD: eigenvalue {w[0]:.3e} at scale {scale:.3e}")
     if w[0] >= 0:
-        return A
+        return A, False
     w = np.clip(w, 0.0, None)
-    return sym_part((Q * w) @ Q.T)
+    return sym_part((Q * w) @ Q.T), True
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,29 +175,45 @@ def conditional_cov(joint, target, cond) -> np.ndarray:
         eigenvalues clipped to zero.
     """
     joint = check_symmetric(joint, name="joint covariance")
-    target = list(target)
-    cond = list(cond)
-    S_tt = joint[np.ix_(target, target)]
+    return _schur(joint, list(target), list(cond), {})
+
+
+def _schur(J: np.ndarray, target: list[int], cond: list[int], memo: dict) -> np.ndarray:
+    """:func:`conditional_cov` of ``J = check_symmetric(joint)``.
+
+    ``memo`` keeps, per index tuple, the ``eigvalsh`` of each conditioning
+    block and the norm of each target block taken from this ``J``.  A block
+    met again has the same bits, so its verdict and norm are read back
+    instead of being taken again.
+    """
+    S_tt = J[np.ix_(target, target)]
     if not cond:
         return psd_repair(S_tt)
-    S_cc = joint[np.ix_(cond, cond)]
-    S_tc = joint[np.ix_(target, cond)]
-    schur = S_tt - S_tc @ _psd_solve(S_cc, S_tc.T, "conditioning block")
-    return psd_repair(schur, scale_hint=spectral_norm_sym(S_tt))
+    S_cc = J[np.ix_(cond, cond)]
+    S_tc = J[np.ix_(target, cond)]
+    key = tuple(cond)
+    if key not in memo:  # check_spd's symmetry check and the eigvalsh it tests
+        memo[key] = np.linalg.eigvalsh(check_symmetric(S_cc, name="conditioning block"))
+    schur = S_tt - S_tc @ _psd_solve(S_cc, S_tc.T, "conditioning block", memo[key])
+    norm_key = ("norm",) + tuple(target)
+    if norm_key not in memo:
+        memo[norm_key] = spectral_norm_sym(S_tt)
+    return psd_repair(schur, scale_hint=memo[norm_key])
 
 
-def _psd_solve(S: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
+def _psd_solve(S: np.ndarray, rhs: np.ndarray, name: str, w: np.ndarray) -> np.ndarray:
     """``S^{-1} rhs`` for a PSD matrix ``S``, via pseudo-inverse when singular.
 
-    Gaussian conditioning is well defined for any PSD conditioning block
-    (degenerate directions carry no randomness); eigenvalues below
-    ``1e-12 * max`` are treated as exact zeros.  A block with genuinely
-    negative eigenvalues is not a covariance and is rejected.
+    ``w`` is ``eigvalsh(check_symmetric(S))``, or of a matrix with those
+    bits.  Gaussian conditioning is well defined for any PSD
+    conditioning block (degenerate directions carry no randomness); a block
+    that fails :func:`covrate.spd.check_spd`'s test is pseudo-inverted with
+    eigenvalues below ``1e-12 * max`` treated as exact zeros.  A block with
+    genuinely negative eigenvalues is not a covariance and is rejected.
     """
     try:
-        check_spd(S, name=name)
+        _require_spd(w, name)
     except NotSpd as exc:
-        w = np.linalg.eigvalsh(sym_part(S))
         if w[0] < -1e-10 * max(w[-1], 1e-300):
             raise SingularConditioningBlock(str(exc)) from exc
         return np.linalg.pinv(sym_part(S), hermitian=True, rcond=1e-12) @ rhs
@@ -193,14 +227,37 @@ def estimator_matrices(model: JointGaussianModel) -> tuple[np.ndarray, np.ndarra
     ``(y, z)``; equivalently ``[A B] = [Sigma_xy Sigma_xz] @ Sigma_(y,z)^{-1}``.
     ``B`` is an ``n_x x 0`` matrix when there is no side information.
     """
+    return _estimator_matrices(model, None)
+
+
+def _estimator_matrices(
+    model: JointGaussianModel, w_obs: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`estimator_matrices`; ``w_obs`` is the ``eigvalsh`` of
+    ``sym_part(obs)`` when the caller took it from the same bits."""
     n_y, n_z = model.n_y, model.n_z
     obs = np.block([[model.Sigma_y, model.Sigma_yz], [model.Sigma_yz.T, model.Sigma_z]])
     cross = np.hstack([model.Sigma_xy, model.Sigma_xz])
+    name = "stacked (y, z) covariance"
+    obs_sym = check_symmetric(obs, name=name)
+    if w_obs is None:
+        w_obs = np.linalg.eigvalsh(obs_sym)
     try:
-        AB = _psd_solve(obs, cross.T, "stacked (y, z) covariance").T
+        AB = _psd_solve(obs, cross.T, name, w_obs).T
     except SingularConditioningBlock as exc:
         raise SingularObservationCovariance(str(exc)) from exc
     return AB[:, :n_y], AB[:, n_y:n_y + n_z]
+
+
+#: The matrices of :class:`ConditionalStats`, in field order.
+_STATS_MATRICES = (
+    "Sigma_x_given_z",
+    "Sigma_x_given_yz",
+    "Sigma_y_given_z",
+    "A",
+    "B",
+    "Sigma_yprime_given_z",
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,6 +267,11 @@ class ConditionalStats:
     ``Sigma_x_given_z = Sigma_yprime_given_z + Sigma_x_given_yz`` holds within
     1e-9 relative (checked at construction), and ``Sigma_x_given_yz`` is
     dominated by ``Sigma_x_given_z`` in the PSD order.
+
+    The matrices are stored as read-only copies, so what the rate-distortion
+    pipeline derives from them is computed once per object and cached,
+    read-only too: :attr:`gap`, :attr:`gap_eig`, :attr:`regularity` and
+    :attr:`Sigma_x_given_z_eigvals`.
     """
 
     model: JointGaussianModel = field(repr=False)
@@ -221,9 +283,11 @@ class ConditionalStats:
     Sigma_yprime_given_z: np.ndarray
 
     def __post_init__(self):
+        for name in _STATS_MATRICES:
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
         lhs = self.Sigma_x_given_z
         rhs = self.Sigma_yprime_given_z + self.Sigma_x_given_yz
-        scale = max(spectral_norm_sym(lhs), np.finfo(float).tiny)
+        scale = max(_norm_from_eigvals(self.Sigma_x_given_z_eigvals), np.finfo(float).tiny)
         if spectral_norm_sym(lhs - rhs) > 1e-9 * scale:
             raise NotSpd(
                 "conditional decomposition identity violated beyond 1e-9; "
@@ -234,15 +298,64 @@ class ConditionalStats:
     def n_x(self) -> int:
         return self.Sigma_x_given_z.shape[0]
 
+    @cached_property
+    def Sigma_x_given_z_eigvals(self) -> np.ndarray:
+        """``eigvalsh(sym_part(Sigma_x_given_z))``, ascending: the spectrum
+        behind ``spectral_norm_sym(Sigma_x_given_z)`` and behind
+        ``check_spd(Sigma_x_given_z)``'s test (same input bits)."""
+        return _read_only(np.linalg.eigvalsh(sym_part(self.Sigma_x_given_z)))
+
+    @cached_property
+    def gap(self) -> np.ndarray:
+        """``S1 = sym_part(Sigma_x_given_z - Sigma_x_given_yz)``, the
+        informativeness gap (exactly symmetric)."""
+        return _read_only(sym_part(self.Sigma_x_given_z - self.Sigma_x_given_yz))
+
+    @cached_property
+    def gap_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_eig_desc(gap)``: eigenvector rows and descending eigenvalues."""
+        U, lam = _eig_desc(self.gap)
+        return _read_only(U), _read_only(lam)
+
+    @cached_property
+    def regularity(self) -> RegularityReport:
+        """Rank diagnosis of :attr:`gap` (see :func:`check_regularity`)."""
+        w = _read_only(np.linalg.eigvalsh(self.gap)[::-1])
+        # The difference is formed by cancellation, so judge it against the
+        # magnitude of the operands, not of a possibly-near-zero result.
+        scale = max(
+            float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0,
+            _norm_from_eigvals(self.Sigma_x_given_z_eigvals),
+            np.finfo(float).tiny,
+        )
+        threshold = REGULARITY_RTOL * scale
+        rank = int(np.sum(w > threshold))
+        return RegularityReport(
+            full_rank=(rank == self.n_x),
+            rank=rank,
+            n_x=self.n_x,
+            eigenvalues=w,
+            threshold=threshold,
+        )
+
 
 def analyze(model: JointGaussianModel) -> ConditionalStats:
-    """All conditional statistics needed by the rate-distortion machinery."""
-    J = model.joint()
+    """All conditional statistics needed by the rate-distortion machinery.
+
+    The joint covariance is checked once.  The three Schur complements share
+    one memo (:func:`_schur`), so the z block, which two of them condition
+    on, gets one SPD verdict, and ``||Sigma_x||`` is taken once.  The
+    estimator matrices read the (y, z) block's verdict: ``sym_part`` of
+    their stacked (y, z) covariance has the bits of that block of the
+    symmetrized joint.  Every solve keeps its operands.
+    """
+    J = check_symmetric(model.joint(), name="joint covariance")
     ix, iy, iz = model.index_sets()
-    Sigma_x_given_z = conditional_cov(J, ix, iz)
-    Sigma_x_given_yz = conditional_cov(J, ix, iy + iz)
-    Sigma_y_given_z = conditional_cov(J, iy, iz)
-    A, B = estimator_matrices(model)
+    memo: dict = {}
+    Sigma_x_given_z = _schur(J, ix, iz, memo)
+    Sigma_x_given_yz = _schur(J, ix, iy + iz, memo)
+    Sigma_y_given_z = _schur(J, iy, iz, memo)
+    A, B = _estimator_matrices(model, memo[tuple(iy + iz)])
     Sigma_yprime_given_z = psd_repair(A @ Sigma_y_given_z @ A.T)
     return ConditionalStats(
         model=model,
@@ -272,22 +385,8 @@ class RegularityReport:
 
 
 def check_regularity(stats: ConditionalStats) -> RegularityReport:
-    """Diagnose whether the downstream pipeline's full-rank requirement holds."""
-    delta = sym_part(stats.Sigma_x_given_z - stats.Sigma_x_given_yz)
-    w = np.linalg.eigvalsh(delta)[::-1]
-    # The difference is formed by cancellation, so judge it against the
-    # magnitude of the operands, not of a possibly-near-zero result.
-    scale = max(
-        float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0,
-        spectral_norm_sym(stats.Sigma_x_given_z),
-        np.finfo(float).tiny,
-    )
-    threshold = REGULARITY_RTOL * scale
-    rank = int(np.sum(w > threshold))
-    return RegularityReport(
-        full_rank=(rank == stats.n_x),
-        rank=rank,
-        n_x=stats.n_x,
-        eigenvalues=w,
-        threshold=threshold,
-    )
+    """Diagnose whether the downstream pipeline's full-rank requirement holds.
+
+    The report is computed once per ``stats`` and shared (read-only).
+    """
+    return stats.regularity

@@ -27,15 +27,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDistortion, NotNested, RankDeficient
+from .errors import DimensionMismatch, InvalidDistortion, NotNested, RankDeficient
 from .model import ConditionalStats, check_regularity, psd_repair
 from .spd import (
     EPS_PSD,
+    _joint_diagonalize,
+    _min_from_joint,
+    _norm_from_eigvals,
+    _psd_leq,
+    _require_finite,
+    _require_spd,
     check_spd,
     check_symmetric,
-    joint_diagonalize,
-    matrix_min,
-    psd_leq,
     sym_part,
 )
 
@@ -59,28 +62,52 @@ def check_distortion(stats: ConditionalStats, D) -> np.ndarray:
     The gap ``D - Sigma_x_given_yz`` must pass :func:`covrate.spd.check_spd`'s
     test (smallest eigenvalue above ``EPS_PSD`` times the largest), because
     the rate and the test channel hand it to the joint diagonalizer, which
-    applies that test to the same matrix.
+    needs that of it too.
     """
+    return _checked_gap(stats, D)[0]
+
+
+def _checked_gap(stats: ConditionalStats, D) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`check_distortion`'s ``D`` and the gap ``sym_part(D - Sigma_x_given_yz)``."""
     D = check_symmetric(D, name="D")
     if D.shape != stats.Sigma_x_given_yz.shape:
         raise InvalidDistortion(
             f"D has shape {D.shape}, expected {stats.Sigma_x_given_yz.shape}"
         )
-    w = np.linalg.eigvalsh(sym_part(D - stats.Sigma_x_given_yz))
+    S2 = sym_part(D - stats.Sigma_x_given_yz)
+    w = np.linalg.eigvalsh(S2)
     if w[-1] <= 0 or w[0] <= EPS_PSD * w[-1]:
         raise InvalidDistortion(
             "D must strictly dominate Sigma_x_given_yz (the rate would be infinite)"
         )
-    return D
+    return D, S2
 
 
-def _gap_pair(stats: ConditionalStats, D) -> tuple[np.ndarray, np.ndarray]:
-    """Validate ``(stats, D)`` once; return ``S1 = Sxz - Sxyz`` and ``S2 = D - Sxyz``."""
+def _diagonalizer_pair(
+    stats: ConditionalStats, D, gap_first: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate ``(stats, D)`` once for the joint diagonalizer's kernel.
+
+    Returns ``(S1, S2)`` (``gap_first``, the test channel's order) or
+    ``(S2, S1)`` (the rate's ``matrix_min(S2, S1)``), with
+    ``S1 = stats.gap = sym_part(Sxz - Sxyz)`` and ``S2 = sym_part(D - Sxyz)``.
+    The pair passes every check of :func:`covrate.spd.joint_diagonalize`:
+
+    * Both are exactly symmetric, so ``check_spd`` would return their bits
+      once they are finite; the finiteness test is kept, with the names that
+      ``joint_diagonalize`` gives its arguments.
+    * ``S1``'s full-rank regularity report means every ``eigvalsh`` entry
+      exceeds ``1e-10 * scale >= 1e-10 * w[-1]``, which passes
+      ``check_spd``'s test on the same ``eigvalsh`` input.
+    * ``check_distortion`` has applied ``check_spd``'s test to ``S2``'s
+      ``eigvalsh``, and has checked its shape.
+    """
     require_regular(stats)
-    D = check_distortion(stats, D)
-    S1 = sym_part(stats.Sigma_x_given_z - stats.Sigma_x_given_yz)
-    S2 = sym_part(D - stats.Sigma_x_given_yz)
-    return S1, S2
+    _, S2 = _checked_gap(stats, D)
+    pair = (stats.gap, S2) if gap_first else (S2, stats.gap)
+    for name, S in zip(("S1", "S2"), pair):
+        _require_finite(S, name)
+    return pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +158,8 @@ def rate_distortion(stats: ConditionalStats, D) -> RdfResult:
     InvalidDistortion
         If ``D`` does not strictly dominate ``Sigma_x_given_yz``.
     """
-    S1, S2 = _gap_pair(stats, D)
-    min_matrix = matrix_min(S2, S1)
+    S2, S1 = _diagonalizer_pair(stats, D, gap_first=False)
+    min_matrix = _min_from_joint(_joint_diagonalize(S2, S1))
     _, ld1 = np.linalg.slogdet(S1)
     _, ld_min = np.linalg.slogdet(min_matrix)
     rate = max(0.5 * (ld1 - ld_min), 0.0)
@@ -147,7 +174,8 @@ def test_channel(stats: ConditionalStats, D) -> TestChannel:
     variance ``lam * lam' / (lam - lam')``.  Components with ``lam' >= lam``
     need no coding (they would require infinite noise) and are excluded.
     """
-    jd = joint_diagonalize(*_gap_pair(stats, D))
+    S1, S2 = _diagonalizer_pair(stats, D, gap_first=True)
+    jd = _joint_diagonalize(S1, S2, eig1=stats.gap_eig)
     lam, lam_prime = jd.lam, jd.lam_prime
     active = np.flatnonzero(lam > lam_prime * (1.0 + ACTIVE_RTOL))
     g = lam[active] * lam_prime[active] / (lam[active] - lam_prime[active])
@@ -170,12 +198,22 @@ def cond_mutual_info_gaussian(cov_given_outer, cov_given_inner) -> float:
     less.  Raises :class:`NotNested` if ``inner`` is not dominated by
     ``outer`` within tolerance.
     """
-    outer = check_spd(cov_given_outer, name="outer covariance")
+    outer = check_symmetric(cov_given_outer, name="outer covariance")
+    # One eigvalsh of ``outer`` serves check_spd's test and psd_leq's norm.
+    w_outer = np.linalg.eigvalsh(outer) if outer.size else np.zeros(0)
+    if outer.size:
+        _require_spd(w_outer, "outer covariance")
     inner = check_spd(cov_given_inner, name="inner covariance")
-    if not psd_leq(inner, outer):
-        raise NotNested("inner covariance is not dominated by the outer covariance")
+    # psd_leq(inner, outer)'s checks: each is exactly symmetric, so only
+    # finiteness and the shapes can fail.
+    _require_finite(inner, "A")
+    _require_finite(outer, "B")
+    if inner.shape != outer.shape:
+        raise DimensionMismatch(f"shape mismatch: {inner.shape} vs {outer.shape}")
     if outer.size == 0:
         return 0.0
+    if not _psd_leq(inner, outer, _norm_from_eigvals(w_outer), 1e-9):
+        raise NotNested("inner covariance is not dominated by the outer covariance")
     _, ld_o = np.linalg.slogdet(outer)
     _, ld_i = np.linalg.slogdet(inner)
     return max(0.5 * (ld_o - ld_i), 0.0)

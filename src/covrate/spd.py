@@ -44,6 +44,12 @@ def as_square(A, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def _read_only(A: np.ndarray) -> np.ndarray:
+    """Mark ``A`` read-only and return it, so no cached factor can go stale."""
+    A.setflags(write=False)
+    return A
+
+
 def sym_part(A: np.ndarray) -> np.ndarray:
     """Symmetric part (A + A^T)/2."""
     return 0.5 * (A + A.T)
@@ -61,28 +67,47 @@ def check_symmetric(A, name: str = "matrix") -> np.ndarray:
     return sym_part(A)
 
 
+def _require_finite(A: np.ndarray, name: str) -> None:
+    """:func:`check_symmetric`'s finiteness test and message, alone.
+
+    Of a finite, exactly symmetric matrix (such as ``sym_part`` of a finite
+    one, when it does not overflow) ``check_symmetric`` returns the same
+    bits, so for such a matrix this is all of that check that can fail.
+    """
+    if not np.isfinite(A).all():
+        raise InvalidParam(f"{name} has non-finite entries")
+
+
 def check_spd(A, name: str = "matrix") -> np.ndarray:
     """Validate symmetric positive definiteness; return the symmetrized copy.
 
     Positive definite means: smallest eigenvalue > ``EPS_PSD`` times the largest.
     """
     A = check_symmetric(A, name=name)
-    if A.size == 0:
-        return A
-    w = np.linalg.eigvalsh(A)
+    if A.size:
+        _require_spd(np.linalg.eigvalsh(A), name)
+    return A
+
+
+def _require_spd(w: np.ndarray, name: str) -> None:
+    """:func:`check_spd`'s test on ``w``, the ascending eigenvalues of the
+    symmetrized matrix; raises :class:`NotSpd` with its message."""
     if w[-1] <= 0 or w[0] <= EPS_PSD * w[-1]:
         raise NotSpd(
             f"{name} is not SPD: eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}]"
         )
-    return A
 
 
 def spectral_norm_sym(A: np.ndarray) -> float:
     """Spectral norm of a symmetric matrix (largest |eigenvalue|)."""
     if A.size == 0:
         return 0.0
-    w = np.linalg.eigvalsh(sym_part(A))
-    return float(max(abs(w[0]), abs(w[-1])))
+    return _norm_from_eigvals(np.linalg.eigvalsh(sym_part(A)))
+
+
+def _norm_from_eigvals(w: np.ndarray) -> float:
+    """:func:`spectral_norm_sym` from ``w = eigvalsh(sym_part(A))`` (ascending)."""
+    return float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
 
 
 # ---- eigendecomposition and square roots ------------------------------------
@@ -181,8 +206,20 @@ def joint_diagonalize(S1, S2) -> JointDiag:
     S2 = check_spd(S2, name="S2")
     if S1.shape != S2.shape:
         raise DimensionMismatch(f"shape mismatch: {S1.shape} vs {S2.shape}")
+    return _joint_diagonalize(S1, S2)
 
-    U1, lam = _eig_desc(S1)
+
+def _joint_diagonalize(
+    S1: np.ndarray, S2: np.ndarray, eig1: tuple[np.ndarray, np.ndarray] | None = None
+) -> JointDiag:
+    """:func:`joint_diagonalize` of a pair that passes its checks, unchecked.
+
+    ``S1`` and ``S2`` must be exactly symmetric, finite, of one shape and
+    pass :func:`check_spd`'s test; then ``check_spd`` would return copies
+    with their bits, so the result is the public function's.  ``eig1`` is
+    ``_eig_desc(S1)`` when the caller already holds it for these bits.
+    """
+    U1, lam = _eig_desc(S1) if eig1 is None else eig1
     S1_isqrt = _inv_sqrt_from_eig(U1, lam)
     M = sym_part(S1_isqrt @ S2 @ S1_isqrt)
     W, gamma = _eig_desc(M)
@@ -208,7 +245,11 @@ def matrix_min(S1, S2) -> np.ndarray:
     The result is dominated by both arguments in the PSD order and maximizes
     the determinant among all such PSD matrices.
     """
-    jd = joint_diagonalize(S1, S2)
+    return _min_from_joint(joint_diagonalize(S1, S2))
+
+
+def _min_from_joint(jd: JointDiag) -> np.ndarray:
+    """:func:`matrix_min` of the pair ``jd`` jointly diagonalizes."""
     m = np.minimum(jd.lam, jd.lam_prime)
     return sym_part(jd.V_inv @ (m[:, None] * jd.V_inv.T))
 
@@ -226,8 +267,19 @@ def psd_leq(A, B, tol: float = 1e-9) -> bool:
         raise DimensionMismatch(f"shape mismatch: {A.shape} vs {B.shape}")
     if A.size == 0:
         return True
+    return _psd_leq(A, B, spectral_norm_sym(B), tol)
+
+
+def _psd_leq(A: np.ndarray, B: np.ndarray, b_norm: float, tol: float) -> bool:
+    """:func:`psd_leq` of non-empty ``A``, ``B`` of one shape, unchecked.
+
+    Both must be finite and exactly symmetric (so ``check_symmetric`` would
+    return their bits), and ``b_norm`` must be ``spectral_norm_sym(B)``, or
+    the same expression of an ``eigvalsh`` the caller already took of
+    ``B``'s bits.
+    """
     smallest = np.linalg.eigvalsh(B - A)[0]
-    return bool(smallest >= -tol * max(spectral_norm_sym(B), np.finfo(float).tiny))
+    return bool(smallest >= -tol * max(b_norm, np.finfo(float).tiny))
 
 
 #: Outcomes of :func:`_psd_leq_screen`.

@@ -17,7 +17,15 @@ from scipy.optimize import bisect
 from .errors import InfeasibleDistortion, InfiniteRate, InvalidParam, OutOfRange
 from .model import ConditionalStats, psd_repair
 from .rdf import require_regular
-from .spd import _eig_desc, _inv_sqrt_from_eig, _sqrt_from_eig, check_spd, sym_part
+from .spd import (
+    _eig_desc,
+    _inv_sqrt_from_eig,
+    _require_spd,
+    _sqrt_from_eig,
+    check_spd,
+    check_symmetric,
+    sym_part,
+)
 
 #: Absolute bisection tolerance on the water variable.
 WATER_XTOL = 1e-12
@@ -71,7 +79,7 @@ def mse_rdf(stats: ConditionalStats, D_scalar: float) -> WaterfillResult:
             f"n_x * D = {n_x * D_scalar:.6g} does not exceed "
             f"tr(Sigma_x_given_yz) = {floor:.6g}"
         )
-    U, lam = _eig_desc(sym_part(stats.Sigma_x_given_z - stats.Sigma_x_given_yz))
+    U, lam = stats.gap_eig
     if budget >= lam.sum():
         # Saturated: side information alone meets the constraint; rate 0 with
         # the full conditional covariance as the distortion target.
@@ -224,7 +232,11 @@ def _informativeness_eig(
     gap to be full rank: zero eigenvalues are legitimate (components where the
     observation adds nothing) and simply carry no rate.
     """
-    Sxz = check_spd(stats.Sigma_x_given_z, name="Sigma_x_given_z")
+    # check_spd(Sigma_x_given_z), whose eigvalsh input has the bits of the
+    # one behind the cached spectrum.
+    Sxz = check_symmetric(stats.Sigma_x_given_z, name="Sigma_x_given_z")
+    if Sxz.size:
+        _require_spd(stats.Sigma_x_given_z_eigvals, "Sigma_x_given_z")
     check_spd(stats.Sigma_x_given_yz, name="Sigma_x_given_yz")
     Sxz_eig = _eig_desc(Sxz)
     isqrt = _inv_sqrt_from_eig(*Sxz_eig)

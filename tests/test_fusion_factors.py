@@ -8,8 +8,13 @@ were cached and before ``check_allocation`` decided nodes by Weyl's
 inequality: every ``Sigma`` inverted on every call, and every node tested with
 ``psd_leq``.  ``reference_highrate_rmin`` is ``highrate_rmin`` as it was
 before each node's log-determinants of ``Sigma_n`` and ``W`` were cached.
-The production functions must give equal floats, the same verdict and the
-same error message on every input.
+``reference_highrate_allocate``, ``reference_kkt_state`` (with
+``reference_kkt_terms``) and ``reference_per_node_rate`` are those functions
+as they were before the ``D <= Sigma_y`` tests read ``||Sigma_y||`` from
+``sigma_y_eigvals``, before the achieved rate reused the allocator's own
+verdicts and the cached ``logdet Sigma_y``, and before ``kkt_state`` read the
+cached inverses and ceilings.  The production functions must give equal
+floats, the same verdict and the same error message on every input.
 """
 from __future__ import annotations
 
@@ -19,12 +24,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import bisect
 
-from covrate.errors import InvalidAllocation, SingularGram
+from covrate.errors import InfeasibleBudget, InvalidAllocation, SingularGram
 from covrate.fusion import (
     ALLOC_TOL,
     Allocation,
     FusionNetwork,
+    HighRateResult,
+    KktState,
     SensorNode,
     Snr,
     check_allocation,
@@ -32,10 +40,14 @@ from covrate.fusion import (
     highrate_allocate,
     highrate_rmin,
     highrate_state,
+    kkt_state,
     kkt_terms,
     output_snr,
+    per_node_rate,
     random_valid_allocations,
+    weighted_sum_rate,
 )
+from covrate.model import _psd_repair, psd_repair
 from covrate.simkit import (
     TWO_NODE_VARIANTS,
     four_node_network,
@@ -43,8 +55,9 @@ from covrate.simkit import (
     two_node_network,
     uniform_allocation,
 )
-from covrate.spd import psd_leq, sym_part
+from covrate.spd import _eig_desc, psd_leq, sym_part
 from conftest import random_two_node_net
+from test_rdf_validate_once import same, workloads
 from test_spd import _spd_with_cond
 
 
@@ -116,6 +129,148 @@ def reference_highrate_rmin(network: FusionNetwork) -> float:
     return 0.5 * float(acc - ld_S)
 
 
+def reference_per_node_rate(sigma_y: np.ndarray, D: np.ndarray) -> float:
+    """Coding rate ``1/2 log(|Sigma_y| / |D|)`` in nats for one node."""
+    if not psd_leq(D, sigma_y, tol=ALLOC_TOL):
+        raise InvalidAllocation("D exceeds the observation covariance")
+    sign, ld_d = np.linalg.slogdet(D)
+    if sign <= 0:
+        raise InvalidAllocation("D is not positive definite")
+    _, ld_y = np.linalg.slogdet(sigma_y)
+    return max(0.5 * (ld_y - ld_d), 0.0)
+
+
+def reference_weighted_sum_rate(network: FusionNetwork, alloc: Allocation) -> float:
+    """``sum_i alpha_i R(D_i)`` in nats."""
+    return float(
+        sum(
+            node.alpha * reference_per_node_rate(Syi, Di)
+            for node, Syi, Di in zip(network.nodes, network.sigma_y, alloc.D)
+        )
+    )
+
+
+def reference_log_beta(network: FusionNetwork) -> float:
+    """Log of the determinant budget: ``sum_i alpha_i logdet Sigma_y_i - 2R``."""
+    lds = [np.linalg.slogdet(S)[1] for S in network.sigma_y]
+    return float(np.dot(network.alphas, lds) - 2.0 * network.R)
+
+
+def reference_highrate_allocate(network: FusionNetwork) -> HighRateResult:
+    """Distortion allocation from the high-rate stationarity approximation."""
+    r_min = reference_highrate_rmin(network)
+    if network.R < r_min:
+        raise InfeasibleBudget(
+            f"budget R = {network.R:.6g} nats is below the high-rate "
+            f"feasibility threshold {r_min:.6g}"
+        )
+    n = network.n
+    S = network.noise_gram
+    U_s, s = _eig_desc(S)
+    log_gamma = reference_log_beta(network)
+    for node in network.nodes:
+        log_gamma -= node.alpha * (
+            n * np.log(node.alpha) + 2.0 * node.logdet_Sigma_n - 2.0 * node.logdet_W
+        )
+
+    def g(t):
+        lam = np.exp(t)
+        x = 4.0 * lam * s
+        logf = float(
+            np.sum(2.0 * np.log(x) - 2.0 * np.log(np.sqrt(1.0 + x) + 1.0))
+            - n * (np.log(4.0) + t)
+        )
+        return logf - log_gamma
+
+    t_lo = np.log(1e-18)
+    for _ in range(600):
+        if g(t_lo) < 0.0:
+            break
+        t_lo -= np.log(4.0)
+    else:
+        raise InfeasibleBudget("multiplier bracketing failed from below")
+    t_hi = max(t_lo + np.log(4.0), 0.0)
+    for _ in range(600):
+        if g(t_hi) > 0.0:
+            break
+        t_hi += np.log(2.0)
+    else:
+        raise InfeasibleBudget(
+            "budget is too close to the feasibility threshold: "
+            "the multiplier equation has no reachable root"
+        )
+    t = bisect(g, t_lo, t_hi, xtol=1e-12, maxiter=200)
+    lam = float(np.exp(t))
+
+    a = 2.0 * s / (np.sqrt(1.0 + 4.0 * lam * s) + 1.0)  # root of lam*a^2 + a = s
+    A = sym_part(U_s.T @ (a[:, None] * U_s))
+    a2 = a**2
+
+    Ds, node_valid = [], []
+    for node, Syi, Sy_inv in zip(network.nodes, network.sigma_y, network.sigma_y_inv):
+        Z_inv = U_s.T @ (U_s / (node.alpha * lam * a2[:, None]))
+        Sn_inv = node.Sigma_n_inv
+        WSn = Sn_inv @ node.W.T
+        D_inv = sym_part(WSn @ Z_inv @ WSn.T - Sn_inv + Sy_inv)
+        ok = bool(np.linalg.eigvalsh(D_inv)[0] > 0.0)
+        Di = sym_part(np.linalg.inv(D_inv))
+        ok = ok and psd_leq(Di, Syi, tol=ALLOC_TOL)
+        Ds.append(psd_repair(Di) if ok else Di)
+        node_valid.append(ok)
+
+    alloc = Allocation(D=tuple(Ds))
+    valid = all(node_valid)
+    if valid:
+        achieved = reference_weighted_sum_rate(network, alloc)
+    else:
+        achieved = float("nan")
+    return HighRateResult(
+        allocation=alloc,
+        achieved_rate=achieved,
+        budget=network.R,
+        lambda_mult=lam,
+        A_mat=A,
+        S=S,
+        r_min=r_min,
+        node_valid=tuple(node_valid),
+        valid=valid,
+    )
+
+
+def reference_kkt_terms(
+    node: SensorNode, sigma_y: np.ndarray, D: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pair ``(Z, C)`` entering the stationarity conditions."""
+    Sn_inv = node.Sigma_n_inv
+    Sy_inv = np.linalg.inv(sigma_y)
+    WSn = node.W @ Sn_inv
+    mid_z = np.linalg.inv(sym_part(Sn_inv + np.linalg.inv(D) - Sy_inv))
+    Z = sym_part(WSn @ mid_z @ WSn.T)
+    mid_c = np.linalg.inv(sym_part(Sn_inv - Sy_inv))
+    return Z, sym_part(WSn @ mid_c @ WSn.T)
+
+
+def reference_kkt_state(
+    network: FusionNetwork, alloc: Allocation, lambda_mult: float | None = None
+) -> KktState:
+    """Evaluate ``(Z_i, C_i, A)`` at an allocation."""
+    Zs, Cs = [], []
+    for node, Syi, Di in zip(network.nodes, network.sigma_y, alloc.D):
+        Z, C = reference_kkt_terms(node, Syi, Di)
+        Zs.append(Z)
+        Cs.append(C)
+    A = sym_part(network.noise_gram - sum(Zs))
+    if lambda_mult is None:
+        A2 = A @ A
+        num, den = 0.0, 0.0
+        for node, Z, C in zip(network.nodes, Zs, Cs):
+            M = Z - Z @ np.linalg.solve(C, Z)
+            num += node.alpha * float(np.tensordot(A2, M))
+            den += node.alpha**2 * float(np.tensordot(A2, A2))
+        lambda_mult = num / den if den > 0 else 0.0
+    return KktState(Z=tuple(Zs), C=tuple(Cs), A_mat=A, lambda_mult=float(lambda_mult))
+
+
 def outcome(fn, *args, **kwargs):
     """``("ok", value)`` or the exception's type name and message."""
     try:
@@ -154,10 +309,12 @@ NETWORKS = networks()
 
 
 def assert_same_as_reference(network: FusionNetwork, alloc: Allocation) -> None:
-    """Equal verdict, message and SNR bits, validated and not."""
+    """Equal verdict, message and SNR bits, validated and not; equal rates."""
     assert outcome(check_allocation, network, alloc) == outcome(
         reference_check_allocation, network, alloc
     )
+    assert same(outcome(weighted_sum_rate, network, alloc),
+                outcome(reference_weighted_sum_rate, network, alloc))
     for validate in (True, False):
         assert outcome(output_snr, network, alloc, validate=validate) == outcome(
             reference_output_snr, network, alloc, validate=validate
@@ -315,3 +472,96 @@ def test_screened_check_allocation_agrees_at_the_weyl_bound(
     assert outcome(check_allocation, net, alloc) == outcome(
         reference_check_allocation, net, alloc
     )
+
+
+def _allocate_pool_networks(seed: int, count: int) -> list[FusionNetwork]:
+    """The first ``count`` vector requests of the ``allocate`` workload's
+    pool: fresh n = 32 networks with budgets from their high-rate threshold
+    up to 160 nats, where the construction is often invalid."""
+    nets = []
+    for req in workloads.Allocate().build(seed, workloads.Allocate.POOL):
+        if req.scalar:
+            continue
+        nodes = tuple(
+            SensorNode(W=req.W, Sigma_n=Sn, alpha=a) for Sn, a in zip(req.Sigma_n, req.alphas)
+        )
+        nets.append(FusionNetwork(Sigma_xd=req.Sigma_xd, nodes=nodes, R=req.R))
+        if len(nets) == count:
+            break
+    return nets
+
+
+HIGHRATE_CASES = {
+    **{key: net for key, net in NETWORKS.items()},
+    **{f"allocate-{j}": net for j, net in enumerate(_allocate_pool_networks(3, 24))},
+    "below-threshold": replace(NETWORKS["b"], R=0.5 * highrate_rmin(NETWORKS["b"])),
+}
+
+
+@pytest.mark.parametrize("key", sorted(HIGHRATE_CASES))
+def test_highrate_allocate_and_kkt_state_match_reference(key):
+    """Every field of the high-rate result (the achieved rate reuses the
+    allocator's ``psd_leq`` verdicts and the cached ``logdet Sigma_y``), and
+    the KKT state and residuals at the allocation."""
+    net = HIGHRATE_CASES[key]
+    got, want = outcome(highrate_allocate, net), outcome(reference_highrate_allocate, net)
+    assert same(got, want)
+    if got[0] != "ok":
+        assert got[0] == "InfeasibleBudget"
+        return
+    res = got[1]
+    assert same(outcome(kkt_state, net, res.allocation),
+                outcome(reference_kkt_state, net, res.allocation))
+    assert same(outcome(kkt_state, net, res.allocation, 0.7),
+                outcome(reference_kkt_state, net, res.allocation, 0.7))
+
+
+def test_allocate_pool_covers_valid_and_invalid_constructions():
+    valid = [highrate_allocate(net).valid for key, net in HIGHRATE_CASES.items()
+             if key.startswith("allocate-")]
+    assert any(valid) and not all(valid)
+
+
+@pytest.mark.parametrize("key", sorted(NETWORKS))
+def test_kkt_state_at_other_allocations_matches_reference(key):
+    net = NETWORKS[key]
+    allocs = [uniform_allocation(net), Allocation(D=tuple(0.5 * S for S in net.sigma_y))]
+    for alloc in allocs:
+        assert same(outcome(kkt_state, net, alloc), outcome(reference_kkt_state, net, alloc))
+    state = kkt_state(net, allocs[0])
+    assert state.C is net.kkt_ceiling
+
+
+@pytest.mark.parametrize("key", sorted(NETWORKS))
+def test_cached_logdet_sigma_y_and_budget_equal_fresh_expressions(key):
+    net = NETWORKS[key]
+    for ld, Syi in zip(net.logdet_sigma_y, net.sigma_y):
+        assert same(ld, np.linalg.slogdet(Syi)[1])
+    assert same(net.log_beta, reference_log_beta(net))
+    for Syi in net.sigma_y:
+        for D in (0.5 * Syi, Syi, 1.1 * Syi):
+            assert same(outcome(per_node_rate, Syi, D), outcome(reference_per_node_rate, Syi, D))
+
+
+def test_psd_repair_reports_whether_it_clipped():
+    A = np.diag([2.0, 1e-3])
+    out, clipped = _psd_repair(A)
+    assert not clipped and same(out, sym_part(A)) and same(out, psd_repair(A))
+    B = np.diag([1.0, -1e-14])
+    out, clipped = _psd_repair(B)
+    assert clipped and same(out, psd_repair(B))
+    assert np.linalg.eigvalsh(out)[0] >= 0.0
+
+
+def test_overflowing_allocation_raises_as_reference():
+    """An allocation whose entries overflow when symmetrized keeps the
+    ``psd_leq`` finiteness error on the screened path."""
+    net = NETWORKS["mixed"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = np.diag([1.5e308] + [1.0] * (net.n - 1))
+        alloc = Allocation(D=(big, net.sigma_y[1]))
+        got = outcome(check_allocation, net, alloc)
+        assert got == outcome(reference_check_allocation, net, alloc)
+        assert got[0] == "InvalidParam"
+        assert same(outcome(weighted_sum_rate, net, alloc),
+                    outcome(reference_weighted_sum_rate, net, alloc))
