@@ -220,23 +220,13 @@ class Allocation:
             (_read_only(U), _read_only(lam)) for U, lam in (_eig_desc(Di) for Di in self.D)
         )
 
-    def weighted_logdet(self, alphas: np.ndarray) -> float:
-        """``sum_i alpha_i logdet D_i`` — the quantity the budget constrains."""
-        total = 0.0
-        for a, Di in zip(alphas, self.D):
-            sign, ld = np.linalg.slogdet(Di)
-            if sign <= 0:
-                return -np.inf
-            total += a * ld
-        return float(total)
-
 
 def _dominated(network: FusionNetwork, i: int, D: np.ndarray) -> bool:
     """``psd_leq(D, Sigma_y_i, tol=ALLOC_TOL)`` for an exactly symmetric ``D``
     of ``Sigma_y_i``'s shape, with ``||Sigma_y_i||`` read from
     :attr:`FusionNetwork.sigma_y_eigvals` instead of another ``eigvalsh``.
-    For such a ``D`` the checks of ``psd_leq`` reduce to its finiteness
-    test, which is kept with its message."""
+    For such a ``D`` the checks of ``psd_leq`` reduce to its value tests
+    (:func:`covrate.spd._require_finite`), kept with their messages."""
     _require_finite(D, "A")
     norm = _norm_from_eigvals(network.sigma_y_eigvals[i])
     return _psd_leq(D, network.sigma_y[i], norm, ALLOC_TOL)

@@ -32,7 +32,6 @@ from .spd import (
     _norm_from_eigvals,
     _read_only,
     _require_spd,
-    check_spd,
     check_symmetric,
     spectral_norm_sym,
     sym_part,
@@ -81,6 +80,10 @@ class JointGaussianModel:
     covariance symmetric PSD (smallest eigenvalue >= -1e-10 times the largest)
     and the ``y`` and ``z`` blocks SPD (they get inverted).  ``n_z = 0``
     encodes "no side information".
+
+    The blocks are read-only copies, so the spectra the SPD tests took,
+    ``Sigma_y_eigvals`` and ``Sigma_z_eigvals`` (``None`` if ``n_z = 0``;
+    ``eigvalsh(sym_part(.))``), stay valid for :func:`analyze` to reuse.
     """
 
     Sigma_x: np.ndarray
@@ -89,10 +92,12 @@ class JointGaussianModel:
     Sigma_xy: np.ndarray
     Sigma_xz: np.ndarray
     Sigma_yz: np.ndarray
+    Sigma_y_eigvals: np.ndarray = field(init=False, repr=False, compare=False)
+    Sigma_z_eigvals: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("Sigma_x", "Sigma_y", "Sigma_z", "Sigma_xy", "Sigma_xz", "Sigma_yz"):
-            block = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            block = _read_only(np.array(np.atleast_2d(getattr(self, name)), dtype=float))
             if not np.isfinite(block).all():
                 raise InvalidParam(f"{name} has non-finite entries")
             object.__setattr__(self, name, block)
@@ -105,9 +110,10 @@ class JointGaussianModel:
             got = getattr(self, name).shape
             if got != want:
                 raise DimensionMismatch(f"{name} has shape {got}, expected {want}")
-        check_spd(self.Sigma_y, name="Sigma_y")
-        if n_z > 0:
-            check_spd(self.Sigma_z, name="Sigma_z")
+        w_y = _spd_eigvals(self.Sigma_y, "Sigma_y")
+        w_z = _spd_eigvals(self.Sigma_z, "Sigma_z") if n_z > 0 else None
+        object.__setattr__(self, "Sigma_y_eigvals", w_y)
+        object.__setattr__(self, "Sigma_z_eigvals", w_z)
         J = self.joint()
         w = np.linalg.eigvalsh(sym_part(J))
         if w[0] < -EPS_PSD * max(w[-1], np.finfo(float).tiny):
@@ -155,6 +161,14 @@ class JointGaussianModel:
             Sigma_xz=np.zeros((n_x, 0)),
             Sigma_yz=np.zeros((n_y, 0)),
         )
+
+
+def _spd_eigvals(A: np.ndarray, name: str) -> np.ndarray:
+    """``check_spd(A, name)``, returning the ``eigvalsh`` it tests (read-only)."""
+    w = np.linalg.eigvalsh(check_symmetric(A, name=name))
+    if w.size:
+        _require_spd(w, name)
+    return _read_only(w)
 
 
 def conditional_cov(joint, target, cond) -> np.ndarray:
@@ -344,14 +358,19 @@ def analyze(model: JointGaussianModel) -> ConditionalStats:
 
     The joint covariance is checked once.  The three Schur complements share
     one memo (:func:`_schur`), so the z block, which two of them condition
-    on, gets one SPD verdict, and ``||Sigma_x||`` is taken once.  The
-    estimator matrices read the (y, z) block's verdict: ``sym_part`` of
-    their stacked (y, z) covariance has the bits of that block of the
-    symmetrized joint.  Every solve keeps its operands.
+    on, gets one SPD verdict (the model's own), and ``||Sigma_x||`` is taken
+    once.  The estimator matrices read the (y, z) block's verdict:
+    ``sym_part`` of their stacked (y, z) covariance has the bits of that
+    block of the symmetrized joint.  Every solve keeps its operands.
     """
     J = check_symmetric(model.joint(), name="joint covariance")
     ix, iy, iz = model.index_sets()
-    memo: dict = {}
+    # The y and z blocks of J have the bits of sym_part(Sigma_y) and
+    # sym_part(Sigma_z), so the model's spectra give the norm of the y
+    # target block and the z conditioning block's verdict.
+    memo: dict = {("norm",) + tuple(iy): _norm_from_eigvals(model.Sigma_y_eigvals)}
+    if iz:
+        memo[tuple(iz)] = model.Sigma_z_eigvals
     Sigma_x_given_z = _schur(J, ix, iz, memo)
     Sigma_x_given_yz = _schur(J, ix, iy + iz, memo)
     Sigma_y_given_z = _schur(J, iy, iz, memo)

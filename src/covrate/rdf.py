@@ -94,7 +94,7 @@ def _diagonalizer_pair(
     The pair passes every check of :func:`covrate.spd.joint_diagonalize`:
 
     * Both are exactly symmetric, so ``check_spd`` would return their bits
-      once they are finite; the finiteness test is kept, with the names that
+      once they pass ``_require_finite``, which is kept, with the names that
       ``joint_diagonalize`` gives its arguments.
     * ``S1``'s full-rank regularity report means every ``eigvalsh`` entry
       exceeds ``1e-10 * scale >= 1e-10 * w[-1]``, which passes
@@ -205,7 +205,7 @@ def cond_mutual_info_gaussian(cov_given_outer, cov_given_inner) -> float:
         _require_spd(w_outer, "outer covariance")
     inner = check_spd(cov_given_inner, name="inner covariance")
     # psd_leq(inner, outer)'s checks: each is exactly symmetric, so only
-    # finiteness and the shapes can fail.
+    # the value tests and the shapes can fail.
     _require_finite(inner, "A")
     _require_finite(outer, "B")
     if inner.shape != outer.shape:

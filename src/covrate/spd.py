@@ -30,6 +30,9 @@ from .errors import (
 EPS_SYM = 1e-10
 #: Relative positive-definiteness tolerance for inputs.
 EPS_PSD = 1e-10
+#: Half the largest float: ``sym_part`` of a finite matrix can overflow only
+#: when an entry exceeds this in magnitude.
+SYM_OVERFLOW = 0.5 * np.finfo(float).max
 #: Random directions drawn per vectorized step of :func:`constrained_det_oracle`.
 ORACLE_BATCH = 32768
 
@@ -56,26 +59,33 @@ def sym_part(A: np.ndarray) -> np.ndarray:
 
 
 def check_symmetric(A, name: str = "matrix") -> np.ndarray:
-    """Validate finite entries and symmetry within ``EPS_SYM``; return the symmetrized copy."""
+    """Validate finite entries and symmetry within ``EPS_SYM``; return the
+    symmetrized copy, which must not overflow (tested past ``SYM_OVERFLOW``)."""
     A = as_square(A, name)
-    if A.size:
-        scale = np.abs(A).max()         # NaN or inf iff an entry is non-finite
-        if not np.isfinite(scale):
-            raise InvalidParam(f"{name} has non-finite entries")
-        if np.abs(A - A.T).max() > EPS_SYM * max(scale, np.finfo(float).tiny):
-            raise NonSymmetric(f"{name} is not symmetric within {EPS_SYM:g} relative")
-    return sym_part(A)
+    if not A.size:
+        return sym_part(A)
+    scale = np.abs(A).max()             # NaN or inf iff an entry is non-finite
+    if not np.isfinite(scale):
+        raise InvalidParam(f"{name} has non-finite entries")
+    if np.abs(A - A.T).max() > EPS_SYM * max(scale, np.finfo(float).tiny):
+        raise NonSymmetric(f"{name} is not symmetric within {EPS_SYM:g} relative")
+    S = sym_part(A)
+    if scale > SYM_OVERFLOW and not np.isfinite(S).all():
+        raise InvalidParam(f"{name} overflows when symmetrized")
+    return S
 
 
 def _require_finite(A: np.ndarray, name: str) -> None:
-    """:func:`check_symmetric`'s finiteness test and message, alone.
+    """:func:`check_symmetric`'s tests of the entries' values, with its messages.
 
-    Of a finite, exactly symmetric matrix (such as ``sym_part`` of a finite
-    one, when it does not overflow) ``check_symmetric`` returns the same
-    bits, so for such a matrix this is all of that check that can fail.
-    """
-    if not np.isfinite(A).all():
-        raise InvalidParam(f"{name} has non-finite entries")
+    Of an exactly symmetric matrix it returns the same bits unless these fail
+    (``(a + a) / 2 = a`` up to ``SYM_OVERFLOW`` and overflows past it)."""
+    if A.size:
+        scale = np.abs(A).max()
+        if not np.isfinite(scale):
+            raise InvalidParam(f"{name} has non-finite entries")
+        if scale > SYM_OVERFLOW:
+            raise InvalidParam(f"{name} overflows when symmetrized")
 
 
 def check_spd(A, name: str = "matrix") -> np.ndarray:
@@ -138,11 +148,10 @@ def _eig_desc(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, Q = np.linalg.eigh(A)            # ascending, columns are eigenvectors
     U = Q.T[::-1].copy()                # descending, rows are eigenvectors
     lam = w[::-1].copy()
-    # Deterministic sign: largest-|entry| of each row made positive.
-    for i in range(U.shape[0]):
-        j = int(np.argmax(np.abs(U[i])))
-        if U[i, j] < 0:
-            U[i] = -U[i]
+    # Deterministic sign: each row's first largest-|entry| made positive.
+    if U.size:
+        flip = U[np.arange(U.shape[0]), np.argmax(np.abs(U), axis=1)] < 0
+        U[flip] = -U[flip]
     return U, lam
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
+from scipy.optimize import bisect  # noqa: F401  (unused; bench/tracer.py wraps it)
 
 from .errors import InfeasibleDistortion, InfiniteRate, InvalidParam, OutOfRange
 from .model import ConditionalStats, psd_repair
@@ -26,12 +26,6 @@ from .spd import (
     check_symmetric,
     sym_part,
 )
-
-#: Absolute bisection tolerance on the water variable.
-WATER_XTOL = 1e-12
-#: Bisection iteration cap (bracketing is asserted before iterating).
-WATER_MAXITER = 200
-
 
 @dataclass(frozen=True, eq=False)
 class WaterfillResult:
@@ -90,7 +84,8 @@ def mse_rdf(stats: ConditionalStats, D_scalar: float) -> WaterfillResult:
             d_star=d_star,
             residual=float(budget - lam.sum()),
         )
-    level = _waterfill_level(lam, budget)
+    k = _water_active(lam, float(lam.sum()) - budget)
+    level = (budget - float(lam[k:].sum())) / k
     rate = 0.5 * float(np.log(np.maximum(lam / level, 1.0)).sum())
     filled = np.minimum(level, lam)
     d_star = psd_repair(stats.Sigma_x_given_yz + U.T @ (filled[:, None] * U))
@@ -98,27 +93,18 @@ def mse_rdf(stats: ConditionalStats, D_scalar: float) -> WaterfillResult:
     return WaterfillResult(rate=rate, water_level=level, d_star=d_star, residual=residual)
 
 
-def _waterfill_level(levels: np.ndarray, budget: float) -> float:
-    """Solve ``sum_i min(x, levels_i) = budget`` for ``x`` in ``(0, max(levels))``.
+def _water_active(levels: np.ndarray, target: float) -> int:
+    """Active count ``k`` of the water-fill ``sum_i max(levels_i - t, 0) = target``.
 
-    The left side is continuous, piecewise linear and strictly increasing on
-    ``[0, max(levels)]``, so the root is unique.  Bisection (at the documented
-    tolerance) locates the active set; an exact linear solve on that set then
-    removes the bisection error.
-    """
-    def f(x):
-        return float(np.minimum(x, levels).sum() - budget)
-
-    hi = float(levels[0])
-    assert f(0.0) < 0.0 <= f(hi), "water equation is not bracketed"
-    x = bisect(f, 0.0, hi, xtol=WATER_XTOL, maxiter=WATER_MAXITER)
-    above = levels > x
-    k = int(above.sum())
-    if k > 0:
-        x_exact = (budget - float(levels[~above].sum())) / k
-        if abs(f(x_exact)) <= abs(f(x)):
-            x = x_exact
-    return float(x)
+    ``levels`` is descending and ``0 < target < levels.sum()``.  The left
+    side is non-increasing and piecewise linear in ``t``; at ``t = levels_i``
+    it is ``sum_{j<i} levels_j - i levels_i``, non-decreasing in ``i`` from 0,
+    so the root lies below ``levels_i`` exactly for the first ``k`` levels,
+    where that value is below ``target``.  There the equation is linear,
+    ``sum(levels[:k]) - k t = target``, and each caller solves it in closed
+    form (Palomar & Fonollosa, IEEE TSP 2005)."""
+    fk = target - (np.cumsum(levels) - np.arange(1, levels.size + 1) * levels)
+    return int(np.count_nonzero(fk > 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,9 +147,10 @@ def relay_solve(stats: ConditionalStats, R_I: float) -> RelayResult:
     is solved for ``gamma`` on ``[0, mu_max]``.  In the variable
     ``s = -log(1 - gamma)`` it becomes the piecewise-linear water-filling
     problem ``1/2 sum_i max(0, s_i - s) = R_I`` with ``s_i = -log(1 - mu_i)``,
-    which is bisected and then refined exactly on the active set.  The coding
-    rate is ``1/2 sum_i log(max(1, mu_i (1 - gamma) / ((1 - mu_i) gamma)))``
-    and ``d_star`` is the covariance distortion target whose matrix RDF equals
+    which is solved exactly on its active set (:func:`_water_active`).  The
+    coding rate is
+    ``1/2 sum_i log(max(1, mu_i (1 - gamma) / ((1 - mu_i) gamma)))`` and
+    ``d_star`` is the covariance distortion target whose matrix RDF equals
     that rate.
 
     Raises
@@ -188,22 +175,13 @@ def relay_solve(stats: ConditionalStats, R_I: float) -> RelayResult:
     if R_I == 0.0:
         gamma = float(mu[0])           # canonical root of the flat region
     else:
-        if abs(R_I - R_sup) <= 1e-12 * max(R_sup, 1.0):
+        # The float spectrum can sum to less than 2 R_sup (a separate
+        # log-determinant); a target at or past its sum has no positive root.
+        if abs(R_I - R_sup) <= 1e-12 * max(R_sup, 1.0) or 2.0 * R_I >= s_levels.sum():
             raise InfiniteRate("R_I at the supremum requires unbounded rate")
 
-        def f(s):
-            return 0.5 * float(np.maximum(s_levels - s, 0.0).sum()) - R_I
-
-        # f decreases from R_sup - R_I > 0 at s = 0 to -R_I < 0 at s = max s_i.
-        s_hi = float(s_levels[0])
-        assert f(0.0) > 0.0 > f(s_hi), "water equation is not bracketed"
-        s = bisect(f, 0.0, s_hi, xtol=WATER_XTOL, maxiter=WATER_MAXITER)
-        above = s_levels > s
-        k = int(above.sum())
-        if k > 0:
-            s_exact = (float(s_levels[above].sum()) - 2.0 * R_I) / k
-            if abs(f(s_exact)) <= abs(f(s)):
-                s = s_exact
+        k = _water_active(s_levels, 2.0 * R_I)
+        s = (float(s_levels[:k].sum()) - 2.0 * R_I) / k
         gamma = float(-np.expm1(-s))
 
     # Active components (mu_i > gamma) each cost

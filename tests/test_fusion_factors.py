@@ -35,6 +35,7 @@ from covrate.fusion import (
     KktState,
     SensorNode,
     Snr,
+    _dominated,
     check_allocation,
     equivalent_noise_inv,
     highrate_allocate,
@@ -554,14 +555,14 @@ def test_psd_repair_reports_whether_it_clipped():
 
 
 def test_overflowing_allocation_raises_as_reference():
-    """An allocation whose entries overflow when symmetrized keeps the
-    ``psd_leq`` finiteness error on the screened path."""
+    """An allocation whose entries overflow when symmetrized is refused when
+    it is built, naming the matrix; the screened path's ``D <= Sigma_y``
+    test raises on such a matrix as ``psd_leq`` does."""
     net = NETWORKS["mixed"]
+    big = np.diag([1.5e308] + [1.0] * (net.n - 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        big = np.diag([1.5e308] + [1.0] * (net.n - 1))
-        alloc = Allocation(D=(big, net.sigma_y[1]))
-        got = outcome(check_allocation, net, alloc)
-        assert got == outcome(reference_check_allocation, net, alloc)
-        assert got[0] == "InvalidParam"
-        assert same(outcome(weighted_sum_rate, net, alloc),
-                    outcome(reference_weighted_sum_rate, net, alloc))
+        got = outcome(Allocation, D=(big, net.sigma_y[1]))
+        assert got == ("InvalidParam", "D[0] overflows when symmetrized")
+        got = outcome(_dominated, net, 0, big)
+        assert got == outcome(psd_leq, big, net.sigma_y[0], ALLOC_TOL)
+        assert got == ("InvalidParam", "A overflows when symmetrized")

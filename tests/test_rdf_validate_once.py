@@ -10,7 +10,9 @@ eigenvalues and the norm of ``Sigma_x_given_z`` on every call;
 ``rate_distortion`` and ``test_channel`` handed the validated gaps to the
 checked ``matrix_min``/``joint_diagonalize``; ``cond_mutual_info_gaussian``
 called ``check_spd`` and then ``psd_leq``; ``mse_rdf`` and ``relay_solve``
-re-took the spectra of ``Sigma_x_given_z`` and of the gap.
+re-took the spectra of ``Sigma_x_given_z`` and of the gap, and solved their
+water-fillings by bisection with an exact refinement (``_waterfill_level``
+and the relay's inline copy, with their ``WATER_*`` constants).
 ``ReferenceStats`` is ``ConditionalStats`` as it was, without caches.  The
 production functions must give the same bits in every field, and raise the
 same error with the same message wherever the reference raises.
@@ -59,6 +61,7 @@ from covrate.rdf import (
     RdfResult,
     TestChannel as Channel,
     channel_rate,
+    check_distortion,
     cond_mutual_info_gaussian,
     mmse_decoder,
     rate_distortion,
@@ -76,11 +79,8 @@ from covrate.spd import (
     sym_part,
 )
 from covrate.special import (
-    WATER_MAXITER,
-    WATER_XTOL,
     RelayResult,
     WaterfillResult,
-    _waterfill_level,
     mse_rdf,
     relay_solve,
     relay_supremum,
@@ -373,6 +373,35 @@ def reference_channel_rate(stats, channel: Channel) -> float:
     return reference_cond_mutual_info_gaussian(Sigma_u_given_z, channel.noise_cov)
 
 
+#: Absolute bisection tolerance on the water variable.
+WATER_XTOL = 1e-12
+#: Bisection iteration cap (bracketing is asserted before iterating).
+WATER_MAXITER = 200
+
+
+def _waterfill_level(levels: np.ndarray, budget: float) -> float:
+    """Solve ``sum_i min(x, levels_i) = budget`` for ``x`` in ``(0, max(levels))``.
+
+    The left side is continuous, piecewise linear and strictly increasing on
+    ``[0, max(levels)]``, so the root is unique.  Bisection (at the documented
+    tolerance) locates the active set; an exact linear solve on that set then
+    removes the bisection error.
+    """
+    def f(x):
+        return float(np.minimum(x, levels).sum() - budget)
+
+    hi = float(levels[0])
+    assert f(0.0) < 0.0 <= f(hi), "water equation is not bracketed"
+    x = bisect(f, 0.0, hi, xtol=WATER_XTOL, maxiter=WATER_MAXITER)
+    above = levels > x
+    k = int(above.sum())
+    if k > 0:
+        x_exact = (budget - float(levels[~above].sum())) / k
+        if abs(f(x_exact)) <= abs(f(x)):
+            x = x_exact
+    return float(x)
+
+
 def reference_mse_rdf(stats, D_scalar: float) -> WaterfillResult:
     """Rate-distortion function under the trace constraint ``tr(error) <= n_x D``."""
     reference_require_regular(stats)
@@ -517,6 +546,7 @@ def assert_same_outcome(fn, ref, *args):
 STATS_FIELDS = (
     "Sigma_x_given_z", "Sigma_x_given_yz", "Sigma_y_given_z", "A", "B", "Sigma_yprime_given_z",
 )
+MODEL_BLOCKS = ("Sigma_x", "Sigma_y", "Sigma_z", "Sigma_xy", "Sigma_xz", "Sigma_yz")
 
 
 def assert_same_analysis(model: JointGaussianModel):
@@ -755,9 +785,9 @@ def test_rank_deficient_and_invalid_distortion_match_reference():
 
 
 def test_overflowing_operands_raise_as_reference():
-    """Entries near the float limit pass ``check_symmetric`` but overflow
-    when symmetrized: the kernels keep the finiteness test of the checks
-    they skip, with its message (the names the checked functions gave)."""
+    """Finite entries whose symmetrization overflows: ``check_symmetric``
+    raises ``InvalidParam`` naming the matrix it was given, so the errors
+    name the distortion and the covariances, not a derived gap."""
     stats, ref = assert_same_analysis(
         JointGaussianModel.without_z(np.eye(2), 2 * np.eye(2), np.eye(2))
     )
@@ -766,12 +796,45 @@ def test_overflowing_operands_raise_as_reference():
     with np.errstate(over="ignore", invalid="ignore"):
         for D in huge:
             for fn, ref_fn in ((rate_distortion, reference_rate_distortion),
-                               (make_channel, reference_test_channel)):
-                assert assert_pair(fn, ref_fn, stats, ref, D)[0] == "InvalidParam"
-        for outer, inner in ((huge[0], np.eye(2)), (np.eye(2), huge[0]), (huge[1], huge[0])):
+                               (make_channel, reference_test_channel),
+                               (check_distortion, reference_check_distortion)):
+                got = assert_pair(fn, ref_fn, stats, ref, D)
+                assert got == ("InvalidParam", "D overflows when symmetrized")
+        for outer, inner, name in ((huge[0], np.eye(2), "outer"), (np.eye(2), huge[0], "inner"),
+                                   (huge[1], huge[0], "outer")):
             got = assert_same_outcome(cond_mutual_info_gaussian,
                                       reference_cond_mutual_info_gaussian, outer, inner)
-            assert got[0] == "InvalidParam"
+            assert got == ("InvalidParam", f"{name} covariance overflows when symmetrized")
+    # Below half the largest float nothing overflows, and the entries pass.
+    edge = np.diag([0.5 * np.finfo(float).max, 1.0])
+    assert same(check_symmetric(edge), edge)
+    with pytest.raises(InvalidParam, match="^M overflows when symmetrized$"):
+        check_symmetric(np.diag([np.nextafter(edge[0, 0], np.inf), 1.0]), name="M")
+
+
+def test_model_blocks_are_read_only_copies_with_their_spectra():
+    """The model keeps read-only copies of its blocks, so the spectra its
+    SPD tests took (which ``analyze`` reuses) stay those of its blocks."""
+    rng = np.random.default_rng(14)
+    for n_z in (0, 2):
+        source = random_model(3, 4, n_z, rng)
+        blocks = {name: np.array(getattr(source, name)) for name in MODEL_BLOCKS}
+        m = JointGaussianModel(**blocks)
+        for name in MODEL_BLOCKS:
+            block = getattr(m, name)
+            assert not block.flags.writeable and block is not blocks[name]
+            if block.size:
+                with pytest.raises(ValueError):
+                    block[0, 0] = 1.0
+        blocks["Sigma_y"][0, 0] += 1.0          # the caller's array stays writable
+        assert m.Sigma_y[0, 0] != blocks["Sigma_y"][0, 0]
+        assert same(m.Sigma_y_eigvals, np.linalg.eigvalsh(sym_part(m.Sigma_y)))
+        assert not m.Sigma_y_eigvals.flags.writeable
+        if n_z:
+            assert same(m.Sigma_z_eigvals, np.linalg.eigvalsh(sym_part(m.Sigma_z)))
+        else:
+            assert m.Sigma_z_eigvals is None
+        assert_same_analysis(m)
 
 
 @pytest.mark.parametrize("n", [2, 5, 32])
