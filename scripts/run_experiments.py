@@ -2,7 +2,7 @@
 """Run the packaged experiments and collect their outputs under one directory.
 
 Each experiment writes a CSV of raw rows plus a JSON document with its
-summary; see ``covrate.simkit`` for the catalogue.  By default all six
+summary; the catalogue is ``covrate.simkit.EXPERIMENTS``.  By default all six
 experiments run with their default parameters:
 
     python3 scripts/run_experiments.py --outdir results
@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
-from covrate.simkit import DEFAULT_PARAMS, EXPERIMENTS, ExperimentSpec, run_experiment
+from covrate.simkit import EXPERIMENTS, ExperimentSpec, run_experiment
 
 
 def _parse_param(text: str) -> tuple[str, float | int]:
@@ -27,6 +28,8 @@ def _parse_param(text: str) -> tuple[str, float | int]:
     if not key or not raw:
         raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
     value = float(raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{key} must be finite, got {raw!r}")
     return key, int(value) if value == int(value) else value
 
 
@@ -55,8 +58,8 @@ def main(argv: list[str] | None = None) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
 
     for name in names:
-        params = dict(DEFAULT_PARAMS[name])
-        params.update((k, v) for k, v in args.param if k in params)
+        defaults, _ = EXPERIMENTS[name]
+        params = {k: v for k, v in args.param if k in defaults}
         spec = ExperimentSpec(name=name, seed=args.seed, params=params)
         t0 = time.perf_counter()
         doc = run_experiment(spec, out_root / name)

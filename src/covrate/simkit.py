@@ -13,7 +13,7 @@ import csv
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -23,28 +23,16 @@ from .fusion import (
     Allocation,
     FusionNetwork,
     SensorNode,
-    allocation_valid,
     coding_noise_cov,
     highrate_allocate,
     nld_filter,
     output_snr,
     random_valid_allocations,
     scalar_allocate,
-    weighted_sum_rate,
 )
-from .model import ConditionalStats, JointGaussianModel, analyze
-from .rdf import TestChannel, mmse_decoder, rate_distortion, test_channel
+from .model import JointGaussianModel, analyze
+from .rdf import mmse_decoder, rate_distortion, test_channel
 from .spd import psd_leq, sym_eig_desc, sym_part
-
-EXPERIMENTS = (
-    "local-max",
-    "global-max",
-    "scaling-4",
-    "highrate-accuracy",
-    "scalar-sweep",
-    "mc-validate",
-)
-
 
 @dataclass(frozen=True)
 class RngStream:
@@ -52,11 +40,8 @@ class RngStream:
 
     seed: int
     stream: int = 0
-    algorithm: str = "philox"
 
     def __post_init__(self):
-        if self.algorithm != "philox":
-            raise InvalidParam(f"unknown RNG algorithm {self.algorithm!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise InvalidParam("seed must fit in 64 bits")
         if not 0 <= int(self.stream) < 2**64:
@@ -67,7 +52,7 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, stream: int) -> "RngStream":
-        return RngStream(seed=self.seed, stream=stream, algorithm=self.algorithm)
+        return RngStream(seed=self.seed, stream=stream)
 
 
 def _as_generator(stream: RngStream | np.random.Generator | int) -> np.random.Generator:
@@ -105,11 +90,10 @@ def random_model(
     n_y: int,
     n_z: int,
     rng: np.random.Generator,
-    jitter: float = 0.1,
 ) -> JointGaussianModel:
     """Random joint Gaussian model: blocks sliced from one random SPD joint."""
     m = n_x + n_y + n_z
-    J = random_spd(m, rng, jitter=jitter)
+    J = random_spd(m, rng)
     sx = slice(0, n_x)
     sy = slice(n_x, n_x + n_y)
     sz = slice(n_x + n_y, m)
@@ -153,8 +137,11 @@ class McRdfReport:
     error_cov: np.ndarray
     frob_rel_dev: float
     dominated: bool
-    slack: float
     N: int
+
+
+#: Dominance slack of the empirical error covariance (fraction of ``|D|_2``).
+MC_DOMINANCE_SLACK = 0.05
 
 
 def mc_validate_rdf(
@@ -162,14 +149,13 @@ def mc_validate_rdf(
     D: np.ndarray,
     N: int,
     stream: RngStream | np.random.Generator | int,
-    slack: float = 0.05,
 ) -> McRdfReport:
     """Simulate the test channel end to end and compare error covariances.
 
     Samples ``(x, y, z)`` jointly, adds the channel's Gaussian coding noise,
     decodes with the MMSE decoder, and reports the empirical error covariance,
     its relative Frobenius deviation from the analytic value, and whether it
-    is dominated by ``D`` within ``slack`` (fraction of the spectral norm).
+    is dominated by ``D`` within :data:`MC_DOMINANCE_SLACK`.
     """
     rng = _as_generator(stream)
     stats = analyze(model)
@@ -194,8 +180,7 @@ def mc_validate_rdf(
         emp_error_cov=emp,
         error_cov=rr.error_cov,
         frob_rel_dev=dev,
-        dominated=psd_leq(emp, np.asarray(D, dtype=float), tol=slack),
-        slack=slack,
+        dominated=psd_leq(emp, np.asarray(D, dtype=float), tol=MC_DOMINANCE_SLACK),
         N=N,
     )
 
@@ -323,38 +308,7 @@ TWO_NODE_VARIANTS: dict[str, dict[str, tuple[float, float]]] = {
 # Experiments
 # --------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A named experiment plus its seed and (optional) parameter overrides."""
-
-    name: str
-    seed: int
-    params: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.name not in EXPERIMENTS:
-            raise InvalidParam(
-                f"unknown experiment {self.name!r}; expected one of {EXPERIMENTS}"
-            )
-
-    def merged_params(self) -> dict[str, Any]:
-        out = dict(DEFAULT_PARAMS[self.name])
-        for key, value in self.params.items():
-            if key not in out:
-                raise InvalidParam(f"unknown parameter {key!r} for {self.name!r}")
-            out[key] = value
-        return out
-
-
-DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
-    "local-max": {"n": 32, "R": 80.0, "L": 1000, "beta_w": 0.999, "eta_w": 0.001},
-    "global-max": {"n": 32, "R": 80.0, "L": 1000, "beta_w": 0.0, "eta_w": 1.0},
-    "scaling-4": {"n": 32, "R": 80.0, "L": 1000},
-    "highrate-accuracy": {"n": 32, "R_start": 25.0, "R_stop": 160.0, "R_step": 5.0},
-    "scalar-sweep": {"rates": (0.5, 1.0, 2.0), "sweep_points": 1000},
-    "mc-validate": {"models": 10, "N": 100_000, "n": 32, "R": 80.0},
-}
+Runner = Callable[[dict[str, Any], RngStream], tuple[list[str], list[list[Any]], dict[str, Any]]]
 
 
 def _population_rows(
@@ -423,6 +377,191 @@ def _population_rows(
     return rows, summary
 
 
+def _run_two_node_populations(params: dict[str, Any], base: RngStream):
+    rows: list[list[Any]] = []
+    summary: dict[str, Any] = {"variants": {}}
+    for k, key in enumerate(sorted(TWO_NODE_VARIANTS)):
+        net = two_node_network(
+            n=int(params["n"]), R=float(params["R"]), **TWO_NODE_VARIANTS[key]
+        )
+        vrows, vsummary = _population_rows(
+            net,
+            float(params["beta_w"]),
+            float(params["eta_w"]),
+            int(params["L"]),
+            base.substream(k),
+            key,
+        )
+        rows.extend(vrows)
+        summary["variants"][key] = vsummary
+    return ["variant", "trial", "snr_db", "is_optimal"], rows, summary
+
+
+def _run_scaling_4(params: dict[str, Any], base: RngStream):
+    variant = TWO_NODE_VARIANTS["a"]
+    net2 = two_node_network(n=int(params["n"]), R=float(params["R"]), **variant)
+    net4 = four_node_network(
+        n=int(params["n"]),
+        R=float(params["R"]),
+        rhos=variant["rhos"],
+        nus=variant["nus"],
+    )
+    rows, s4 = _population_rows(
+        net4, 0.0, 1.0, int(params["L"]), base.substream(0), "four"
+    )
+    two_star_db = output_snr(
+        net2, highrate_allocate(net2).allocation, validate=False
+    ).db
+    summary = {
+        "four_sensor": s4,
+        "two_sensor_optimal_snr_db": two_star_db,
+        "snr_gain_db": s4["optimal_snr_db"] - two_star_db,
+    }
+    return ["variant", "trial", "snr_db", "is_optimal"], rows, summary
+
+
+def _run_highrate_accuracy(params: dict[str, Any], base: RngStream):
+    grid = np.arange(
+        float(params["R_start"]),
+        float(params["R_stop"]) + 0.5 * float(params["R_step"]),
+        float(params["R_step"]),
+    )
+    rows = []
+    errors = []
+    n_invalid = 0
+    for t, R in enumerate(grid):
+        net = two_node_network(
+            n=int(params["n"]), R=float(R), rhos=(0.8, 0.8), nus=(0.1, 0.2)
+        )
+        res = highrate_allocate(net)
+        n_invalid += not res.valid
+        err = abs(res.achieved_rate - float(R))
+        errors.append(err)
+        rows.append([t, repr(float(R)), repr(res.achieved_rate), repr(err), 0])
+    finite = [e for e in errors if np.isfinite(e)]
+    summary = {
+        "R_grid": [float(R) for R in grid],
+        "rate_error_nats": errors,
+        "n_invalid": n_invalid,
+        "error_at_start": errors[0],
+        "max_finite_error": max(finite) if finite else None,
+        "nonincreasing_within_1e-3": bool(
+            all(b <= a + 1e-3 for a, b in zip(errors, errors[1:]))
+        ),
+    }
+    return ["trial", "R_nats", "achieved_nats", "rate_error_nats", "is_optimal"], rows, summary
+
+
+def _run_scalar_sweep(params: dict[str, Any], base: RngStream):
+    rows = []
+    summary = {"rates": {}}
+    for R in params["rates"]:
+        res = scalar_allocate(
+            scalar_example_network(float(R)), sweep_points=int(params["sweep_points"])
+        )
+        label = repr(float(R))
+        for t, (d1, d2, v) in enumerate(
+            zip(res.sweep_d1, res.sweep_d2, res.sweep_snr_db)
+        ):
+            rows.append([label, t, repr(float(d1)), repr(float(d2)), repr(float(v)), 0])
+        if res.stationary_feasible:
+            rows.append(
+                [label, -1, repr(res.D1), repr(res.D2), repr(res.stationary_snr_db), 1]
+            )
+        summary["rates"][label] = {
+            "regime": res.regime,
+            "r_max": res.r_max,
+            "r_min": res.r_min,
+            "stationary_feasible": res.stationary_feasible,
+            "D1": res.D1,
+            "D2": res.D2,
+            "stationary_snr_db": res.stationary_snr_db,
+            "best_d1": res.best_d1,
+            "best_d2": res.best_d2,
+            "best_snr_db": res.best_snr_db,
+        }
+    return ["variant", "trial", "d1", "d2", "snr_db", "is_optimal"], rows, summary
+
+
+def _run_mc_validate(params: dict[str, Any], base: RngStream):
+    rows = []
+    devs = []
+    dominated_all = True
+    for t in range(int(params["models"])):
+        rng = base.substream(t).generator()
+        n_x = int(rng.integers(2, 5))
+        n_y = n_x + int(rng.integers(0, 3))
+        n_z = int(rng.integers(0, 3))
+        model = random_model(n_x, n_y, n_z, rng)
+        stats = analyze(model)
+        D = sym_part(
+            stats.Sigma_x_given_yz + 0.5 * random_spd(n_x, rng, jitter=0.3)
+        )
+        rep = mc_validate_rdf(model, D, int(params["N"]), rng)
+        devs.append(rep.frob_rel_dev)
+        dominated_all = dominated_all and rep.dominated
+        rows.append([t, "rdf_frob_rel_dev", repr(rep.frob_rel_dev), 0])
+    net = two_node_network(
+        n=int(params["n"]), R=float(params["R"]), **TWO_NODE_VARIANTS["a"]
+    )
+    alloc = uniform_allocation(net)
+    snr_rep = mc_validate_snr(net, alloc, int(params["N"]), base.substream(1000))
+    rows.append([0, "snr_abs_db_dev", repr(snr_rep.abs_db_dev), 1])
+    summary = {
+        "max_frob_rel_dev": max(devs),
+        "all_dominated": dominated_all,
+        "snr_allocation": "uniform exact-rate shrinkage of Sigma_y",
+        "snr_emp_db": snr_rep.emp_snr_db,
+        "snr_analytic_db": snr_rep.analytic_snr_db,
+        "snr_abs_db_dev": snr_rep.abs_db_dev,
+    }
+    return ["trial", "kind", "value", "is_optimal"], rows, summary
+
+
+#: The named experiments: each name's default parameters and its runner,
+#: which maps ``(params, RngStream(seed))`` to ``(csv header, rows, summary)``.
+EXPERIMENTS: dict[str, tuple[dict[str, Any], Runner]] = {
+    "local-max": (
+        {"n": 32, "R": 80.0, "L": 1000, "beta_w": 0.999, "eta_w": 0.001},
+        _run_two_node_populations,
+    ),
+    "global-max": (
+        {"n": 32, "R": 80.0, "L": 1000, "beta_w": 0.0, "eta_w": 1.0},
+        _run_two_node_populations,
+    ),
+    "scaling-4": ({"n": 32, "R": 80.0, "L": 1000}, _run_scaling_4),
+    "highrate-accuracy": (
+        {"n": 32, "R_start": 25.0, "R_stop": 160.0, "R_step": 5.0},
+        _run_highrate_accuracy,
+    ),
+    "scalar-sweep": ({"rates": (0.5, 1.0, 2.0), "sweep_points": 1000}, _run_scalar_sweep),
+    "mc-validate": ({"models": 10, "N": 100_000, "n": 32, "R": 80.0}, _run_mc_validate),
+}
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """A named experiment plus its seed and (optional) parameter overrides."""
+
+    name: str
+    seed: int
+    params: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.name not in EXPERIMENTS:
+            raise InvalidParam(
+                f"unknown experiment {self.name!r}; expected one of {tuple(EXPERIMENTS)}"
+            )
+
+    def merged_params(self) -> dict[str, Any]:
+        out = dict(EXPERIMENTS[self.name][0])
+        for key, value in self.params.items():
+            if key not in out:
+                raise InvalidParam(f"unknown parameter {key!r} for {self.name!r}")
+            out[key] = value
+        return out
+
+
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> dict[str, Any]:
     """Run one named experiment; write ``<name>.csv`` and ``<name>.json``.
 
@@ -432,146 +571,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> dict[str, Any]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = spec.merged_params()
-    base = RngStream(seed=spec.seed)
-
-    if spec.name in ("local-max", "global-max"):
-        header = ["variant", "trial", "snr_db", "is_optimal"]
-        rows: list[list[Any]] = []
-        summary: dict[str, Any] = {"variants": {}}
-        for k, key in enumerate(sorted(TWO_NODE_VARIANTS)):
-            net = two_node_network(
-                n=int(params["n"]), R=float(params["R"]), **TWO_NODE_VARIANTS[key]
-            )
-            vrows, vsummary = _population_rows(
-                net,
-                float(params["beta_w"]),
-                float(params["eta_w"]),
-                int(params["L"]),
-                base.substream(k),
-                key,
-            )
-            rows.extend(vrows)
-            summary["variants"][key] = vsummary
-
-    elif spec.name == "scaling-4":
-        header = ["variant", "trial", "snr_db", "is_optimal"]
-        variant = TWO_NODE_VARIANTS["a"]
-        net2 = two_node_network(n=int(params["n"]), R=float(params["R"]), **variant)
-        net4 = four_node_network(
-            n=int(params["n"]),
-            R=float(params["R"]),
-            rhos=variant["rhos"],
-            nus=variant["nus"],
-        )
-        rows, s4 = _population_rows(
-            net4, 0.0, 1.0, int(params["L"]), base.substream(0), "four"
-        )
-        two_star_db = output_snr(
-            net2, highrate_allocate(net2).allocation, validate=False
-        ).db
-        summary = {
-            "four_sensor": s4,
-            "two_sensor_optimal_snr_db": two_star_db,
-            "snr_gain_db": s4["optimal_snr_db"] - two_star_db,
-        }
-
-    elif spec.name == "highrate-accuracy":
-        header = ["trial", "R_nats", "achieved_nats", "rate_error_nats", "is_optimal"]
-        grid = np.arange(
-            float(params["R_start"]),
-            float(params["R_stop"]) + 0.5 * float(params["R_step"]),
-            float(params["R_step"]),
-        )
-        rows = []
-        errors = []
-        n_invalid = 0
-        for t, R in enumerate(grid):
-            net = two_node_network(
-                n=int(params["n"]), R=float(R), rhos=(0.8, 0.8), nus=(0.1, 0.2)
-            )
-            res = highrate_allocate(net)
-            n_invalid += not res.valid
-            err = abs(res.achieved_rate - float(R))
-            errors.append(err)
-            rows.append([t, repr(float(R)), repr(res.achieved_rate), repr(err), 0])
-        finite = [e for e in errors if np.isfinite(e)]
-        summary = {
-            "R_grid": [float(R) for R in grid],
-            "rate_error_nats": errors,
-            "n_invalid": n_invalid,
-            "error_at_start": errors[0],
-            "max_finite_error": max(finite) if finite else None,
-            "nonincreasing_within_1e-3": bool(
-                all(b <= a + 1e-3 for a, b in zip(errors, errors[1:]))
-            ),
-        }
-
-    elif spec.name == "scalar-sweep":
-        header = ["variant", "trial", "d1", "d2", "snr_db", "is_optimal"]
-        rows = []
-        summary = {"rates": {}}
-        for R in params["rates"]:
-            res = scalar_allocate(
-                scalar_example_network(float(R)), sweep_points=int(params["sweep_points"])
-            )
-            label = repr(float(R))
-            for t, (d1, d2, v) in enumerate(
-                zip(res.sweep_d1, res.sweep_d2, res.sweep_snr_db)
-            ):
-                rows.append([label, t, repr(float(d1)), repr(float(d2)), repr(float(v)), 0])
-            if res.stationary_feasible:
-                rows.append(
-                    [label, -1, repr(res.D1), repr(res.D2), repr(res.stationary_snr_db), 1]
-                )
-            summary["rates"][label] = {
-                "regime": res.regime,
-                "r_max": res.r_max,
-                "r_min": res.r_min,
-                "stationary_feasible": res.stationary_feasible,
-                "D1": res.D1,
-                "D2": res.D2,
-                "stationary_snr_db": res.stationary_snr_db,
-                "best_d1": res.best_d1,
-                "best_d2": res.best_d2,
-                "best_snr_db": res.best_snr_db,
-            }
-
-    elif spec.name == "mc-validate":
-        header = ["trial", "kind", "value", "is_optimal"]
-        rows = []
-        devs = []
-        dominated_all = True
-        for t in range(int(params["models"])):
-            rng = base.substream(t).generator()
-            n_x = int(rng.integers(2, 5))
-            n_y = n_x + int(rng.integers(0, 3))
-            n_z = int(rng.integers(0, 3))
-            model = random_model(n_x, n_y, n_z, rng)
-            stats = analyze(model)
-            D = sym_part(
-                stats.Sigma_x_given_yz + 0.5 * random_spd(n_x, rng, jitter=0.3)
-            )
-            rep = mc_validate_rdf(model, D, int(params["N"]), rng)
-            devs.append(rep.frob_rel_dev)
-            dominated_all = dominated_all and rep.dominated
-            rows.append([t, "rdf_frob_rel_dev", repr(rep.frob_rel_dev), 0])
-        net = two_node_network(
-            n=int(params["n"]), R=float(params["R"]), **TWO_NODE_VARIANTS["a"]
-        )
-        alloc = uniform_allocation(net)
-        snr_rep = mc_validate_snr(net, alloc, int(params["N"]), base.substream(1000))
-        rows.append([0, "snr_abs_db_dev", repr(snr_rep.abs_db_dev), 1])
-        summary = {
-            "max_frob_rel_dev": max(devs),
-            "all_dominated": dominated_all,
-            "snr_allocation": "uniform exact-rate shrinkage of Sigma_y",
-            "snr_emp_db": snr_rep.emp_snr_db,
-            "snr_analytic_db": snr_rep.analytic_snr_db,
-            "snr_abs_db_dev": snr_rep.abs_db_dev,
-        }
-
-    else:  # pragma: no cover - guarded by ExperimentSpec
-        raise InvalidParam(f"unknown experiment {spec.name!r}")
+    runner = EXPERIMENTS[spec.name][1]
+    header, rows, summary = runner(params, RngStream(seed=spec.seed))
 
     csv_path = out_dir / f"{spec.name}.csv"
     json_path = out_dir / f"{spec.name}.json"

@@ -155,11 +155,6 @@ def _eig_desc(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return U, lam
 
 
-def principal_sqrt(A) -> np.ndarray:
-    """Principal (SPD) square root of an SPD matrix."""
-    return _sqrt_from_eig(*_eig_desc(check_spd(A)))
-
-
 def _sqrt_from_eig(U: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """A^{1/2} from the (U, lam) output of sym_eig_desc."""
     return sym_part(U.T @ (np.sqrt(lam)[:, None] * U))

@@ -123,16 +123,6 @@ class RelayResult:
     residual: float
 
 
-def relay_mu(stats: ConditionalStats) -> np.ndarray:
-    """Descending eigenvalues of ``I - Sxz^{-1/2} Sxyz Sxz^{-1/2}``, in ``[0, 1)``.
-
-    These measure, per joint-diagonal component, the fraction of conditional
-    source variance the observation can remove; ``-1/2 sum_i log(1 - mu_i)``
-    equals the supremum ``1/2 log(|Sigma_x_given_z| / |Sigma_x_given_yz|)``.
-    """
-    return _informativeness_eig(stats)[1]
-
-
 def relay_supremum(stats: ConditionalStats) -> float:
     """Supremum of admissible mutual-information targets (nats)."""
     _, ld_z = np.linalg.slogdet(stats.Sigma_x_given_z)

@@ -1,14 +1,16 @@
-"""Behaviour lock: each experiment's JSON summary at reduced parameters.
+"""Behaviour lock: each experiment's CSV rows and JSON summary at reduced parameters.
 
 The files under ``tests/golden/`` were written by ``run_experiment`` with seed
 0 and the parameters in ``PARAMS``.  A refactor that keeps behaviour must
-reproduce every number in them to 1e-9 relative, and every string, flag and
-null exactly.
+reproduce every number in them to 1e-9 relative, and every string, integer,
+flag and null exactly.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -43,9 +45,61 @@ def _mismatches(got, want, path: str = "") -> list[str]:
     return [] if same else [f"{path}: {got!r} != {want!r}"]
 
 
+def _cell(text: str) -> tuple[str, float | None]:
+    """A CSV cell as (exact part, float part): ints and words are all exact;
+    a float, bare or as ``np.float64(...)``, keeps its wrapper exact."""
+    if re.fullmatch(r"-?\d+", text):
+        return text, None
+    wrapped = re.fullmatch(r"(np\.float64\()(.*)(\))", text)
+    prefix, body, suffix = wrapped.groups() if wrapped else ("", text, "")
+    try:
+        return prefix + suffix, float(body)
+    except ValueError:
+        return text, None
+
+
+def _row_mismatches(got: str, want: str) -> list[str]:
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    if got_lines[:1] != want_lines[:1]:
+        return [f"metadata: {got_lines[:1]} != {want_lines[:1]}"]
+    got_rows = list(csv.reader(got_lines[1:]))
+    want_rows = list(csv.reader(want_lines[1:]))
+    if [len(r) for r in got_rows] != [len(r) for r in want_rows]:
+        return [f"row shapes differ: {len(got_rows)} rows against {len(want_rows)}"]
+    out = []
+    for i, (grow, wrow) in enumerate(zip(got_rows, want_rows)):
+        for j, (g, w) in enumerate(zip(grow, wrow)):
+            (gx, gv), (wx, wv) = _cell(g), _cell(w)
+            if gv is None or wv is None:
+                same = g == w
+            else:
+                same = gx == wx and (
+                    math.isclose(gv, wv, rel_tol=RTOL, abs_tol=0.0)
+                    or (math.isnan(gv) and math.isnan(wv))
+                )
+            if not same:
+                out.append(f"row {i} column {j}: {g!r} != {w!r}")
+    return out
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """Every experiment run once at ``PARAMS`` and seed 0, into one directory."""
+    out = tmp_path_factory.mktemp("experiments")
+    for name, params in PARAMS.items():
+        run_experiment(ExperimentSpec(name=name, seed=0, params=params), out)
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(PARAMS))
-def test_experiment_summary_matches_golden(name, tmp_path):
-    run_experiment(ExperimentSpec(name=name, seed=0, params=PARAMS[name]), tmp_path)
-    got = json.loads((tmp_path / f"{name}.json").read_text())
+def test_experiment_summary_matches_golden(name, outputs):
+    got = json.loads((outputs / f"{name}.json").read_text())
     want = json.loads((GOLDEN / f"{name}.json").read_text())
     assert _mismatches(got, want) == []
+
+
+@pytest.mark.parametrize("name", sorted(PARAMS))
+def test_experiment_rows_match_golden(name, outputs):
+    got = (outputs / f"{name}.csv").read_text()
+    want = (GOLDEN / f"{name}.csv").read_text()
+    assert _row_mismatches(got, want) == []

@@ -17,7 +17,6 @@ from covrate.spd import (
     constrained_det_oracle,
     joint_diagonalize,
     matrix_min,
-    principal_sqrt,
     psd_leq,
     sym_eig_desc,
     sym_part,
@@ -136,14 +135,6 @@ def test_sym_eig_desc_reconstructs():
     U, lam = sym_eig_desc(A)
     assert np.all(np.diff(lam) <= 1e-12)
     assert np.allclose(U.T @ np.diag(lam) @ U, A, atol=1e-10)
-
-
-def test_principal_sqrt_squares_back():
-    rng = np.random.default_rng(18)
-    A = random_spd(4, rng)
-    S = principal_sqrt(A)
-    assert np.allclose(S @ S, A, atol=1e-10)
-    assert np.allclose(S, S.T, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from covrate.errors import InfeasibleDistortion, InfiniteRate, OutOfRange
 from covrate.model import analyze
 from covrate.rdf import rate_distortion
-from covrate.special import mse_rdf, relay_mu, relay_solve, relay_supremum
+from covrate.special import mse_rdf, relay_solve, relay_supremum
 from covrate.spd import sym_eig_desc
 from conftest import random_spd
 from test_model import _random_model
@@ -68,11 +68,11 @@ def test_relay_mu_no_extra_information():
     from test_model import _duplicate_side_info_model
 
     st = analyze(_duplicate_side_info_model(rng))
-    assert np.allclose(relay_mu(st), 0.0, atol=1e-9)
+    assert np.allclose(relay_solve(st, 0.0).mu, 0.0, atol=1e-9)
 
 
 def test_relay_mu_scalar(scalar_stats):
-    mu = relay_mu(scalar_stats)
+    mu = relay_solve(scalar_stats, 0.0).mu
     assert mu.shape == (1,)
     assert abs(mu[0] - 0.75) < 1e-12
 
@@ -81,7 +81,7 @@ def test_relay_mu_product_identity():
     rng = np.random.default_rng(54)
     m = _random_model(rng, n_x=4, n_y=4, n_z=2)
     st = analyze(m)
-    mu = relay_mu(st)
+    mu = relay_solve(st, 0.0).mu
     assert np.all(mu >= 0.0) and np.all(mu < 1.0)
     assert np.all(np.diff(mu) <= 1e-12)
     lhs = float(np.sum(-0.5 * np.log1p(-mu)))
@@ -140,7 +140,7 @@ def test_relay_gamma_bracket():
     rng = np.random.default_rng(57)
     m = _random_model(rng, n_x=4, n_y=4, n_z=0)
     st = analyze(m)
-    mu = relay_mu(st)
+    mu = relay_solve(st, 0.0).mu
     for frac in (0.1, 0.5, 0.9):
         res = relay_solve(st, frac * relay_supremum(st))
         assert 0.0 <= res.gamma <= mu[0] + 1e-12
