@@ -6,7 +6,8 @@
 Times the ``covrate`` found on the import path, with BLAS pinned to one
 thread: ``psd_leq``, ``joint_diagonalize``, ``analyze``, ``rate_distortion``,
 ``test_channel``, the water-fillings ``mse_rdf`` and ``relay_solve``,
-validated ``output_snr``, ``highrate_allocate`` and one population draw
+validated ``output_snr``, ``highrate_allocate``, the ``highrate_pipeline``
+of one allocate op and one population draw
 (``random_valid_allocations`` with ``L = 1``, perturbed around the uniform
 allocation), each at n = 4 and n = 32 (keys ``"<kernel>.n4"`` and
 ``"<kernel>.n32"``), and one 1000-point ``scalar_allocate`` sweep on the
@@ -21,7 +22,12 @@ so what they cache is warm: the ``rate_distortion``, ``test_channel``,
 regularity report and spectra are computed once per object, and so flatter
 those kernels against a checkout without the caches.  The ``rdf_pipeline``
 row times ``analyze``, ``rate_distortion`` and ``test_channel`` together on
-a fresh ``ConditionalStats`` per call, which is what a request pays.
+a fresh ``ConditionalStats`` per call, which is what a request pays.  The
+``output_snr`` row validates a fresh ``Allocation`` per call (its
+constructor included), so no spectrum an allocation caches is reused.  The
+``highrate_pipeline`` row is one ``allocate`` benchmark op on a cold
+network: fresh nodes and network, ``highrate_allocate``, validated
+``output_snr``, ``highrate_state`` and ``kkt_residuals``.
 """
 from __future__ import annotations
 
@@ -88,6 +94,18 @@ def kernels(n: int) -> dict:
         rdf.rate_distortion(fresh, D)
         rdf.test_channel(fresh, D)
 
+    def highrate_pipeline():
+        nodes = tuple(
+            fusion.SensorNode(W=node.W, Sigma_n=node.Sigma_n, alpha=node.alpha)
+            for node in hr_net.nodes
+        )
+        fresh = fusion.FusionNetwork(Sigma_xd=hr_net.Sigma_xd, nodes=nodes, R=hr_net.R)
+        res = fusion.highrate_allocate(fresh)
+        fusion.output_snr(fresh, res.allocation)
+        state = fusion.highrate_state(fresh, res)
+        log_beta = fresh.log_beta + 2.0 * (fresh.R - res.achieved_rate)
+        fusion.kkt_residuals(fresh, state, log_beta=log_beta)
+
     return {
         "psd_leq": lambda: spd.psd_leq(0.5 * B, B),
         "joint_diagonalize": lambda: spd.joint_diagonalize(S1, S2),
@@ -97,8 +115,9 @@ def kernels(n: int) -> dict:
         "rdf_pipeline": rdf_pipeline,
         "mse_rdf": lambda: special.mse_rdf(stats, D_scalar),
         "relay_solve": lambda: special.relay_solve(stats, R_I),
-        "output_snr": lambda: fusion.output_snr(net, alloc),
+        "output_snr": lambda: fusion.output_snr(net, fusion.Allocation(D=alloc.D)),
         "highrate_allocate": lambda: fusion.highrate_allocate(hr_net),
+        "highrate_pipeline": highrate_pipeline,
         "random_valid_allocations": lambda: fusion.random_valid_allocations(
             net, alloc, 0.999, 0.001, 1, draw_rng
         ),

@@ -31,7 +31,7 @@ from .errors import (
     InvalidParam,
     SingularGram,
 )
-from .model import _psd_repair
+from .model import _psd_repair, _spd_eigvals
 from .spd import (
     SCREEN_ACCEPT,
     SCREEN_REJECT,
@@ -42,6 +42,7 @@ from .spd import (
     _read_only,
     _require_finite,
     _rotated_diag,
+    _screen_slack,
     _weyl_accept,
     as_square,
     check_spd,
@@ -111,7 +112,13 @@ class SensorNode:
 
 @dataclass(frozen=True, eq=False)
 class FusionNetwork:
-    """Desired-source covariance, sensor list, and the sum-rate budget in nats."""
+    """Desired-source covariance, sensor list, and the sum-rate budget in nats.
+
+    Per-node factors are computed once, on first use, and kept read-only.
+    Each ``Sigma_y_i`` takes one ``eigvalsh``: the one its SPD test takes
+    (:func:`covrate.spd.check_spd`'s, raising its ``NotSpd`` message), which
+    :attr:`sigma_y_eigvals` then serves.
+    """
 
     Sigma_xd: np.ndarray
     nodes: tuple[SensorNode, ...]
@@ -150,18 +157,29 @@ class FusionNetwork:
         return np.array([node.alpha for node in self.nodes])
 
     @cached_property
-    def sigma_y(self) -> tuple[np.ndarray, ...]:
-        """Per-node observation covariances ``W^T Sigma_xd W + Sigma_n``."""
-        out = []
+    def _sigma_y_checked(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """``(sigma_y, sigma_y_eigvals)``: each ``Sigma_y_i`` through
+        :func:`covrate.spd.check_spd`'s test, and the ``eigvalsh`` that test took."""
+        mats, spectra = [], []
         for i, node in enumerate(self.nodes):
             S = sym_part(node.W.T @ self.Sigma_xd @ node.W + node.Sigma_n)
-            out.append(_read_only(check_spd(S, name=f"Sigma_y[{i}]")))
-        return tuple(out)
+            spectra.append(_spd_eigvals(S, name=f"Sigma_y[{i}]"))
+            mats.append(_read_only(S))
+        return tuple(mats), tuple(spectra)
+
+    @cached_property
+    def sigma_y(self) -> tuple[np.ndarray, ...]:
+        """Per-node observation covariances ``W^T Sigma_xd W + Sigma_n``,
+        validated by :func:`covrate.spd.check_spd`'s test (read-only)."""
+        return self._sigma_y_checked[0]
 
     @cached_property
     def sigma_y_eigvals(self) -> tuple[np.ndarray, ...]:
-        """Ascending eigenvalues of each ``Sigma_y_i`` (read-only)."""
-        return tuple(_read_only(np.linalg.eigvalsh(S)) for S in self.sigma_y)
+        """Ascending eigenvalues of each ``Sigma_y_i`` (read-only): the
+        ``eigvalsh`` its SPD test took.  ``Sigma_y_i`` is exactly symmetric, so
+        ``check_spd`` would return its bits and this is
+        ``np.linalg.eigvalsh(sigma_y[i])``, bit for bit."""
+        return self._sigma_y_checked[1]
 
     @cached_property
     def sigma_y_inv(self) -> tuple[np.ndarray, ...]:
@@ -203,7 +221,12 @@ class FusionNetwork:
 
 @dataclass(frozen=True, eq=False)
 class Allocation:
-    """A distortion target per node.  Validity is checked against a network."""
+    """A distortion target per node.  Validity is checked against a network.
+
+    The matrices are read-only, so their spectra are taken once and cached:
+    :attr:`eig_desc` for all of them, :meth:`eigvalsh` one matrix at a time
+    (:func:`check_allocation` may stop at the first invalid one).
+    """
 
     D: tuple[np.ndarray, ...]
 
@@ -219,6 +242,30 @@ class Allocation:
         return tuple(
             (_read_only(U), _read_only(lam)) for U, lam in (_eig_desc(Di) for Di in self.D)
         )
+
+    @cached_property
+    def _spectra(self) -> list[np.ndarray | None]:
+        """The :meth:`eigvalsh` cache: one slot per matrix, ``None`` until taken."""
+        return [None] * len(self.D)
+
+    def eigvalsh(self, i: int) -> np.ndarray:
+        """Ascending ``np.linalg.eigvalsh(D[i])``, taken once per matrix (read-only)."""
+        w = self._spectra[i]
+        if w is None:
+            w = self._spectra[i] = _read_only(np.linalg.eigvalsh(self.D[i]))
+        return w
+
+    @classmethod
+    def _with_eigvalsh(
+        cls, D: Sequence[np.ndarray], spectra: Sequence[np.ndarray | None]
+    ) -> Allocation:
+        """``Allocation(D=D)`` whose :meth:`eigvalsh` returns ``spectra[i]``
+        where it is not ``None``.  Each given entry must be
+        ``np.linalg.eigvalsh`` of a ``D[i]`` that is exactly symmetric and
+        finite, which the constructor copies bit for bit."""
+        alloc = cls(D=D)
+        alloc._spectra[:] = [None if w is None else _read_only(w) for w in spectra]
+        return alloc
 
 
 def _dominated(network: FusionNetwork, i: int, D: np.ndarray) -> bool:
@@ -246,8 +293,10 @@ def check_allocation(network: FusionNetwork, alloc: Allocation) -> None:
     ``D_i <= Sigma_y_i`` within ``ALLOC_TOL``.
 
     Node ``i`` is positive definite iff the smallest entry of
-    ``eigvalsh(D_i)`` is positive.  The largest entry ``w[-1]`` of the same
-    call then decides most nodes without another eigensolve: by Weyl's
+    ``eigvalsh(D_i)`` is positive; that spectrum is :meth:`Allocation.eigvalsh`,
+    taken once per matrix (an allocation from :func:`highrate_allocate` comes
+    with the ones it took).  The largest entry ``w[-1]`` of the same
+    spectrum then decides most nodes without another eigensolve: by Weyl's
     inequality, ``w[-1] - lambda_min(Sigma_y_i) <= ALLOC_TOL ||Sigma_y_i||``
     (less a rounding margin, :func:`covrate.spd._weyl_accept`) implies
     ``psd_leq(D_i, Sigma_y_i, tol=ALLOC_TOL)``, with both eigenvalues of
@@ -262,7 +311,7 @@ def check_allocation(network: FusionNetwork, alloc: Allocation) -> None:
     for i, (Di, Syi, ev) in enumerate(zip(alloc.D, network.sigma_y, network.sigma_y_eigvals)):
         if Di.shape != Syi.shape:
             raise InvalidAllocation(f"D[{i}] has shape {Di.shape}, expected {Syi.shape}")
-        w = np.linalg.eigvalsh(Di)
+        w = alloc.eigvalsh(i)
         if w[0] <= 0.0:
             raise InvalidAllocation(f"D[{i}] is not positive definite")
         if _weyl_accept(w[-1], ev[0], ev[-1], ALLOC_TOL, Di.shape[0]):
@@ -602,6 +651,17 @@ def highrate_allocate(network: FusionNetwork) -> HighRateResult:
 
     Raises :class:`InfeasibleBudget` when ``R`` is below the threshold of
     :func:`highrate_rmin` (the multiplier equation has no root there).
+
+    Each spectrum is taken once.  ``S`` takes one ``eigh``.  A node whose
+    ``D_i^{-1}`` passes ``eigvalsh(D_i^{-1})[0] > 0`` takes one
+    ``eigvalsh(D_i)``, which decides two things as :func:`check_allocation`
+    and :func:`covrate.model._psd_repair` would: ``D_i <= Sigma_y_i`` by the
+    Weyl screen of :func:`covrate.spd._weyl_accept` (with ``Sigma_y_i``'s
+    spectrum from :attr:`FusionNetwork.sigma_y_eigvals`), falling back to
+    :func:`_dominated`; and whether the repair can clip, by the rounding margin
+    of :func:`_psd_repair_screened`, falling back to ``_psd_repair``'s
+    ``eigh``.  The returned allocation carries the spectra of the matrices the
+    repair left alone, so a validated :func:`output_snr` takes none again.
     """
     r_min = highrate_rmin(network)
     if network.R < r_min:
@@ -618,14 +678,21 @@ def highrate_allocate(network: FusionNetwork) -> HighRateResult:
             n * np.log(node.alpha) + 2.0 * node.logdet_Sigma_n - 2.0 * node.logdet_W
         )
 
+    x, y = np.empty_like(s), np.empty_like(s)
+
     def g(t):
-        lam = np.exp(t)
-        x = 4.0 * lam * s
-        logf = float(
-            np.sum(2.0 * np.log(x) - 2.0 * np.log(np.sqrt(1.0 + x) + 1.0))
-            - n * (np.log(4.0) + t)
-        )
-        return logf - log_gamma
+        # sum(2 log x - 2 log(sqrt(1 + x) + 1)) - n (log 4 + t) with x = 4 e^t s,
+        # ufunc by ufunc in the buffers x and y.
+        np.multiply(4.0 * np.exp(t), s, out=x)
+        np.add(1.0, x, out=y)
+        np.sqrt(y, out=y)
+        np.add(y, 1.0, out=y)
+        np.log(y, out=y)
+        np.multiply(2.0, y, out=y)
+        np.log(x, out=x)
+        np.multiply(2.0, x, out=x)
+        np.subtract(x, y, out=x)
+        return float(np.add.reduce(x) - n * (np.log(4.0) + t)) - log_gamma
 
     t_lo = np.log(1e-18)
     for _ in range(600):
@@ -651,21 +718,31 @@ def highrate_allocate(network: FusionNetwork) -> HighRateResult:
     A = sym_part(U_s.T @ (a[:, None] * U_s))
     a2 = a**2
 
-    Ds, node_valid, repaired = [], [], []
-    for i, (node, Sy_inv) in enumerate(zip(network.nodes, network.sigma_y_inv)):
+    Ds, spectra, node_valid, repaired = [], [], [], []
+    for i, (node, Sy_inv, ev) in enumerate(
+        zip(network.nodes, network.sigma_y_inv, network.sigma_y_eigvals)
+    ):
         Z_inv = U_s.T @ (U_s / (node.alpha * lam * a2[:, None]))
         Sn_inv = node.Sigma_n_inv
         WSn = Sn_inv @ node.W.T
         D_inv = sym_part(WSn @ Z_inv @ WSn.T - Sn_inv + Sy_inv)
         ok = bool(np.linalg.eigvalsh(D_inv)[0] > 0.0)
         Di = sym_part(np.linalg.inv(D_inv))
-        ok = ok and _dominated(network, i, Di)
-        Di, clipped = _psd_repair(Di) if ok else (Di, False)
+        w, clipped = None, False
+        if ok:
+            _require_finite(Di, "A")  # the value tests _dominated starts with
+            w = np.linalg.eigvalsh(Di)
+            weyl = w[0] > 0.0 and _weyl_accept(w[-1], ev[0], ev[-1], ALLOC_TOL, n)
+            ok = bool(weyl) or _dominated(network, i, Di)
+            if ok:
+                Di, clipped = _psd_repair_screened(Di, w)
+                w = None if clipped else w
         Ds.append(Di)
+        spectra.append(w)
         node_valid.append(ok)
         repaired.append(clipped)
 
-    alloc = Allocation(D=tuple(Ds))
+    alloc = Allocation._with_eigvalsh(tuple(Ds), spectra)
     valid = all(node_valid)
     if valid:
         # weighted_sum_rate(network, alloc): a node psd_repair left alone
@@ -691,6 +768,26 @@ def highrate_allocate(network: FusionNetwork) -> HighRateResult:
         node_valid=tuple(node_valid),
         valid=valid,
     )
+
+
+def _psd_repair_screened(D: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
+    """:func:`covrate.model._psd_repair` of an exactly symmetric finite ``D``
+    whose ``eigvalsh`` is ``w``, without its ``eigh`` when ``w`` shows that
+    ``eigh`` would find nothing to clip.
+
+    ``_psd_repair`` returns ``D``'s bits unclipped iff the smallest eigenvalue
+    ``eigh`` gives is ``>= 0``.  ``eigh`` and ``eigvalsh`` are backward stable
+    (each returns the spectrum of a symmetric matrix within a small multiple of
+    ``n eps ||D||`` of ``D``), so by Weyl's inequality each is within that of
+    the exact spectrum and they differ by at most twice it (Golub & Van Loan,
+    §8.1).  The margin ``kappa ||D||`` of :func:`covrate.spd._screen_slack`,
+    ``kappa = 100 n eps``, covers both: ``w[0] > kappa w[-1]`` makes ``D``
+    positive definite with ``||D|| = w[-1]``, and ``eigh``'s smallest
+    eigenvalue positive.  Otherwise ``_psd_repair`` decides.
+    """
+    if w[0] > _screen_slack(D.shape[0], 0.0, w[-1]):
+        return D, False
+    return _psd_repair(D)
 
 
 def highrate_state(network: FusionNetwork, result: HighRateResult) -> KktState:

@@ -333,7 +333,7 @@ def _population_rows(
     """
     result = highrate_allocate(network)
     star_db = output_snr(network, result.allocation, validate=False).db
-    rows = [[variant, -1, repr(star_db), 1]]
+    rows = [[variant, -1, repr(float(star_db)), 1]]
     summary: dict[str, Any] = {
         "optimal_snr_db": star_db,
         "achieved_rate_nats": result.achieved_rate,
@@ -446,7 +446,7 @@ def _run_highrate_accuracy(params: dict[str, Any], base: RngStream):
         "error_at_start": errors[0],
         "max_finite_error": max(finite) if finite else None,
         "nonincreasing_within_1e-3": bool(
-            all(b <= a + 1e-3 for a, b in zip(errors, errors[1:]))
+            all(b <= a + 1e-3 for a, b in zip(finite, finite[1:]))
         ),
     }
     return ["trial", "R_nats", "achieved_nats", "rate_error_nats", "is_optimal"], rows, summary
@@ -466,7 +466,7 @@ def _run_scalar_sweep(params: dict[str, Any], base: RngStream):
             rows.append([label, t, repr(float(d1)), repr(float(d2)), repr(float(v)), 0])
         if res.stationary_feasible:
             rows.append(
-                [label, -1, repr(res.D1), repr(res.D2), repr(res.stationary_snr_db), 1]
+                [label, -1, repr(res.D1), repr(res.D2), repr(float(res.stationary_snr_db)), 1]
             )
         summary["rates"][label] = {
             "regime": res.regime,
@@ -506,7 +506,7 @@ def _run_mc_validate(params: dict[str, Any], base: RngStream):
     )
     alloc = uniform_allocation(net)
     snr_rep = mc_validate_snr(net, alloc, int(params["N"]), base.substream(1000))
-    rows.append([0, "snr_abs_db_dev", repr(snr_rep.abs_db_dev), 1])
+    rows.append([0, "snr_abs_db_dev", repr(float(snr_rep.abs_db_dev)), 1])
     summary = {
         "max_frob_rel_dev": max(devs),
         "all_dominated": dominated_all,

@@ -36,6 +36,7 @@ from covrate.fusion import (
     SensorNode,
     Snr,
     _dominated,
+    _psd_repair_screened,
     check_allocation,
     equivalent_noise_inv,
     highrate_allocate,
@@ -56,7 +57,7 @@ from covrate.simkit import (
     two_node_network,
     uniform_allocation,
 )
-from covrate.spd import _eig_desc, psd_leq, sym_part
+from covrate.spd import _eig_desc, check_spd, psd_leq, sym_part
 from conftest import random_two_node_net
 from test_rdf_validate_once import same, workloads
 from test_spd import _spd_with_cond
@@ -566,3 +567,98 @@ def test_overflowing_allocation_raises_as_reference():
         got = outcome(_dominated, net, 0, big)
         assert got == outcome(psd_leq, big, net.sigma_y[0], ALLOC_TOL)
         assert got == ("InvalidParam", "A overflows when symmetrized")
+
+
+@pytest.mark.parametrize("key", sorted(NETWORKS))
+def test_sigma_y_eigvals_are_fresh_eigvalsh(key):
+    """The spectra the SPD tests of ``Sigma_y`` took serve as ``sigma_y_eigvals``."""
+    net = replace(NETWORKS[key])                 # nothing cached yet
+    for Syi, ev in zip(net.sigma_y, net.sigma_y_eigvals):
+        assert same(ev, np.linalg.eigvalsh(Syi))
+        assert not ev.flags.writeable
+
+
+def test_non_spd_sigma_y_raises_check_spds_message():
+    """``W = diag(1e6, 1, 1)`` makes ``Sigma_y[1]``'s condition number about
+    1e12, past ``check_spd``'s 1e10; both cached views raise its message."""
+    n = 3
+    good = SensorNode(W=np.eye(n), Sigma_n=0.1 * np.eye(n), alpha=0.5)
+    bad = SensorNode(W=np.diag([1e6, 1.0, 1.0]), Sigma_n=1e-3 * np.eye(n), alpha=0.5)
+    net = FusionNetwork(Sigma_xd=np.eye(n), nodes=(good, bad), R=1.0)
+    S = sym_part(bad.W.T @ net.Sigma_xd @ bad.W + bad.Sigma_n)
+    want = outcome(check_spd, S, name="Sigma_y[1]")
+    assert want[0] == "NotSpd" and want[1].startswith("Sigma_y[1] is not SPD")
+    assert outcome(getattr, net, "sigma_y") == want
+    assert outcome(getattr, net, "sigma_y_eigvals") == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 4, 32]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log10_scale=st.floats(min_value=-6.0, max_value=6.0),
+    log10_small=st.floats(min_value=-18.0, max_value=0.0),
+    side=st.sampled_from([-1.0, 1.0]),
+)
+def test_screened_repair_matches_psd_repair(n, seed, log10_scale, log10_small, side):
+    """From well-conditioned to slightly indefinite ``D`` (smallest eigenvalue
+    ``+-10^log10_small`` relative, across the screen's margin ``100 n eps``
+    and ``_psd_repair``'s floor 1e-10), the screened repair returns
+    ``_psd_repair``'s bits, clipped flag or error."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d = rng.uniform(0.01, 1.0, size=n)
+    d[0] = 1.0
+    d[-1] = side * 10.0**log10_small
+    D = sym_part(U @ ((10.0**log10_scale * d)[:, None] * U.T))
+    got = outcome(_psd_repair_screened, D, np.linalg.eigvalsh(D))
+    assert same(got, outcome(_psd_repair, D))
+
+
+def _recording(monkeypatch, name: str) -> list[np.ndarray]:
+    """Replace ``numpy.linalg.<name>`` with a wrapper that keeps a copy of
+    each argument; return the list of copies."""
+    calls, fn = [], getattr(np.linalg, name)
+
+    def wrapper(a, *args, **kwargs):
+        calls.append(np.array(a, copy=True))
+        return fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("valid", [True, False])
+def test_allocate_op_takes_each_distortion_spectrum_once(monkeypatch, valid):
+    """One ``allocate`` op on a cold pool network (``highrate_allocate`` and a
+    validated ``output_snr``) takes one ``eigh``, the noise gram's, and at
+    most one ``eigvalsh`` of each returned ``D_i``; exactly one when the
+    allocation is valid."""
+    key = next(
+        k for k in sorted(HIGHRATE_CASES)
+        if k.startswith("allocate-") and highrate_allocate(HIGHRATE_CASES[k]).valid == valid
+    )
+    net = replace(HIGHRATE_CASES[key])           # nothing cached yet
+    eigh = _recording(monkeypatch, "eigh")
+    eigvalsh = _recording(monkeypatch, "eigvalsh")
+    res = highrate_allocate(net)
+    snr = outcome(output_snr, net, res.allocation)
+    assert res.valid == valid and (snr[0] == "ok") == valid
+    assert len(eigh) == 1 and same(eigh[0], net.noise_gram)
+    for Di in res.allocation.D:
+        taken = sum(same(A, Di) for A in eigvalsh)
+        assert taken == 1 if valid else taken <= 1
+
+
+@pytest.mark.parametrize("key", sorted(HIGHRATE_CASES))
+def test_allocation_spectra_are_fresh_eigvalsh(key):
+    """The spectra a high-rate allocation carries, and those ``Allocation``
+    takes itself, are ``np.linalg.eigvalsh`` of its matrices, read-only."""
+    got = outcome(highrate_allocate, replace(HIGHRATE_CASES[key]))
+    if got[0] != "ok":
+        return
+    alloc = got[1].allocation
+    for i, Di in enumerate(alloc.D):
+        w = alloc.eigvalsh(i)
+        assert same(w, np.linalg.eigvalsh(Di)) and not w.flags.writeable
+        assert alloc.eigvalsh(i) is w

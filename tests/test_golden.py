@@ -46,14 +46,12 @@ def _mismatches(got, want, path: str = "") -> list[str]:
 
 
 def _cell(text: str) -> tuple[str, float | None]:
-    """A CSV cell as (exact part, float part): ints and words are all exact;
-    a float, bare or as ``np.float64(...)``, keeps its wrapper exact."""
+    """A CSV cell as (exact part, float part): ints and words (a wrapped
+    ``np.float64(...)`` among them) are all exact; a bare float is a float."""
     if re.fullmatch(r"-?\d+", text):
         return text, None
-    wrapped = re.fullmatch(r"(np\.float64\()(.*)(\))", text)
-    prefix, body, suffix = wrapped.groups() if wrapped else ("", text, "")
     try:
-        return prefix + suffix, float(body)
+        return "", float(text)
     except ValueError:
         return text, None
 

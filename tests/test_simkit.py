@@ -174,6 +174,23 @@ def test_run_experiment_highrate_accuracy_narrow(tmp_path: Path):
     assert s["nonincreasing_within_1e-3"]
 
 
+def test_highrate_accuracy_monotonicity_skips_invalid_constructions(tmp_path: Path):
+    """At n = 32 the constructions at 25-35 nats are invalid (NaN errors);
+    the flag judges the finite errors from 40 nats on, and ``n_invalid``
+    still counts the NaNs."""
+    spec = ExperimentSpec(
+        "highrate-accuracy",
+        seed=0,
+        params={"n": 32, "R_start": 25.0, "R_stop": 45.0, "R_step": 5.0},
+    )
+    s = run_experiment(spec, tmp_path)["summary"]
+    errs = s["rate_error_nats"]
+    assert errs[:3] == [None, None, None]
+    assert errs[3] > errs[4] > 0.0
+    assert s["n_invalid"] == 3
+    assert s["nonincreasing_within_1e-3"] is True
+
+
 def test_run_experiment_mc_validate_reduced(tmp_path: Path):
     spec = ExperimentSpec(
         "mc-validate", seed=17, params={"models": 2, "N": 20_000, "n": 8, "R": 20.0}
